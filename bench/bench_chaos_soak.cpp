@@ -335,7 +335,6 @@ SimOutcome RunSimSoak(std::uint64_t seed, bool smoke) {
   affinity_config.level = core::ReuseLevel::kL3;
   affinity_config.cluster.num_workers = 6;
   affinity_config.seed = 42;
-  affinity_config.scheduler.policy = core::SchedulerPolicy::kAffinity;
   affinity_config.fault = SoakPlan(seed);
   affinity_config.fault.kills.push_back({10.0, (seed % 6) + 1});
   affinity_config.fault.kills.push_back({18.0, (seed % 6) + 4});

@@ -15,7 +15,7 @@
 //
 // `--smoke` shrinks the real-runtime replay for CI; the analytic and
 // simulated numbers are identical in both modes and are gated against
-// bench/fig3_baseline.json by scripts/check_fig3_baseline.py.
+// bench/fig3_baseline.json by scripts/compare_bench.py.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

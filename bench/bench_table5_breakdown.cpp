@@ -137,13 +137,9 @@ PhaseTotals LibraryView(const std::vector<SpanRecord>& spans) {
 /// drops per-file and admission spans — both are sub-measurements of the
 /// window the task-level transfer span already covers — while the
 /// simulator keeps its file spans (the env fetch/unpack spans are the only
-/// record of that time and overlap nothing).  The remaining tolerance
-/// absorbs one known hierarchy on the runtime: the first invocation's
-/// dispatch (queue-wait) span umbrellas the library install it triggered,
-/// which blame attributes to the install phases but the aggregate also
-/// counts as dispatch.  Returns false (and the bench exits non-zero) on
-/// disagreement — the blame report is only useful if it reproduces the
-/// established breakdown.
+/// record of that time and overlap nothing).  Returns false (and the bench
+/// exits non-zero) on disagreement — the blame report is only useful if it
+/// reproduces the established breakdown.
 bool CrossCheckBlame(const std::vector<SpanRecord>& spans,
                      bool include_file_spans, const std::string& label,
                      bench::JsonReport& report) {
@@ -351,7 +347,9 @@ std::vector<SpanRecord> SimSpans(core::ReuseLevel level, std::size_t n) {
   config.cluster.num_workers = 1;
   config.seed = 7;
   config.telemetry = &telemetry;
-  sim::VineSim vinesim(config, sim::BuildLnniWorkload(sim::LnniCosts(16), n));
+  // The workload keeps a pointer to its costs: they must outlive the run.
+  const sim::WorkloadCosts costs = sim::LnniCosts(16);
+  sim::VineSim vinesim(config, sim::BuildLnniWorkload(costs, n));
   (void)vinesim.Run();
   return telemetry.tracer.Drain();
 }

@@ -1,24 +1,25 @@
-// Zipf-popularity scheduling sweep: context-affinity scheduler vs the
-// legacy first-fit dispatcher over a skewed multi-library service mix.
+// Zipf-popularity scheduling sweep: the context-affinity scheduler's steal
+// threshold over a skewed multi-library service mix.
 //
 // The LNNI workloads in the paper pin one function class to the whole
 // cluster; a function-centric service serves many libraries with a
 // heavy-tailed popularity curve and an open arrival stream (Fig 10's
 // regime: far more libraries than the cluster can hold warm at once, so
 // the eviction decision is the whole game).  This bench offers an
-// identical pre-sampled Poisson/Zipf stream to both policies:
-//   - first-fit: first worker/instance in order wins, popularity-blind
-//     eviction (first idle instance found), unbatched dispatch
-//     (max_batch = 1), legacy queue-vs-capacity autoscale rule;
-//   - affinity: least-loaded affine routing, threshold-gated autoscaling,
-//     Fig-11 share-value eviction preference, batched dispatch.
-// Both run through the simulator's per-library path, so the margin is the
-// policy's doing, not a modeling asymmetry.  Reported: makespan, p99
-// end-to-end latency (finished - arrival), affinity hit rate, deploy
-// (cold-start) count, eviction churn, batch shape.
+// identical pre-sampled Poisson/Zipf stream to two steal thresholds:
+//   - th=1 displaces idle capacity as soon as a backlog forms: best drain
+//     parallelism, so best makespan, while the share-aware victim choice
+//     still protects the head libraries;
+//   - th=4 (the default) consolidates backlogs through fewer warm
+//     instances: fewest cold starts, so best mean/p99 latency, at a small
+//     makespan cost from the serial drain tail.
+// Reported: makespan, mean and p99 end-to-end latency (finished -
+// arrival), affinity hit rate, deploy (cold-start) count, eviction churn,
+// batch shape.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   const double zipf_s = 1.2;
   const double exec_sigma = 0.2;
   std::printf(
-      "Zipf-popularity scheduling: affinity vs first-fit "
+      "Zipf-popularity scheduling: steal threshold 1 vs 4 "
       "(%zu invocations at %.0f/s, %zu libraries, %zu workers, s=%.1f%s)\n",
       invocations, arrival_rate, libraries, num_workers, zipf_s,
       smoke ? ", smoke" : "");
@@ -70,37 +71,24 @@ int main(int argc, char** argv) {
       BuildZipfWorkload(costs, invocations, libraries, zipf_s, exec_sigma,
                         arrival_rate, workload_rng);
 
-  // The steal threshold trades the two headline metrics against each other:
-  // th=1 displaces idle capacity as soon as a backlog forms (best drain
-  // parallelism, so best makespan, while the share-aware victim choice
-  // still protects the head libraries); the default th=4 consolidates
-  // backlogs through fewer warm instances (fewest cold starts, so best
-  // mean/p99 latency, at a small makespan cost from the serial drain
-  // tail).  Both rows run so the trade-off is on the record.
   struct Case {
     const char* name;
-    core::SchedulerConfig scheduler;
+    const char* key;  // JSON metric prefix
+    std::size_t steal_threshold;
   };
-  Case cases[3] = {{"first-fit", {}}, {"affinity th=1", {}},
-                   {"affinity th=4", {}}};
-  cases[0].scheduler.policy = core::SchedulerPolicy::kFirstFit;
-  cases[0].scheduler.max_batch = 1;  // legacy one-message-per-invocation
-  cases[1].scheduler.policy = core::SchedulerPolicy::kAffinity;
-  cases[1].scheduler.steal_threshold = 1;
-  cases[2].scheduler.policy = core::SchedulerPolicy::kAffinity;
-  cases[2].scheduler.steal_threshold = 4;
+  constexpr int kCases = 2;
+  const Case cases[kCases] = {{"th=1", "th1", 1}, {"th=4", "th4", 4}};
 
-  constexpr int kCases = 3;
   SimResult results[kCases];
-  double p99_latency[kCases] = {0, 0, 0};
-  double mean_latency[kCases] = {0, 0, 0};
+  double p99_latency[kCases] = {0, 0};
+  double mean_latency[kCases] = {0, 0};
   for (int i = 0; i < kCases; ++i) {
     SimConfig config;
     config.level = core::ReuseLevel::kL3;
     config.cluster.num_workers = num_workers;
     config.seed = 2024;
     config.track_trace = true;
-    config.scheduler = cases[i].scheduler;
+    config.scheduler.steal_threshold = cases[i].steal_threshold;
     config.telemetry = session.telemetry();
     VineSim sim(config, workload);
     results[i] = sim.Run();
@@ -117,47 +105,40 @@ int main(int argc, char** argv) {
         latencies.empty() ? 0 : total / static_cast<double>(latencies.size());
   }
 
-  bench::Table table({"Policy", "Makespan", "Mean latency", "p99 latency",
-                      "Hit rate", "Deploys", "Evicts", "Steals",
+  bench::Table table({"Steal threshold", "Makespan", "Mean latency",
+                      "p99 latency", "Hit rate", "Deploys", "Evicts", "Steals",
                       "Mean batch"});
+  double hit_rate[kCases];
+  double mean_batch[kCases];
   for (int i = 0; i < kCases; ++i) {
     const SimResult& r = results[i];
     const double routed =
         static_cast<double>(r.affinity_hits + r.affinity_misses);
-    const double hit_rate =
+    hit_rate[i] =
         routed > 0 ? static_cast<double>(r.affinity_hits) / routed : 0.0;
-    const double mean_batch =
-        r.dispatch_batches > 0
-            ? static_cast<double>(r.dispatch_batched_invocations) /
-                  static_cast<double>(r.dispatch_batches)
-            : 0.0;
+    mean_batch[i] = r.dispatch_batches > 0
+                        ? static_cast<double>(r.dispatch_batched_invocations) /
+                              static_cast<double>(r.dispatch_batches)
+                        : 0.0;
     table.AddRow({cases[i].name, bench::Seconds(r.makespan, 0),
                   bench::Seconds(mean_latency[i], 2),
-                  bench::Seconds(p99_latency[i], 2), bench::Percent(hit_rate),
+                  bench::Seconds(p99_latency[i], 2),
+                  bench::Percent(hit_rate[i]),
                   std::to_string(r.libraries_deployed_total),
                   std::to_string(r.autoscale_evicts),
-                  std::to_string(r.steals), FormatDouble(mean_batch, 2)});
+                  std::to_string(r.steals), FormatDouble(mean_batch[i], 2)});
   }
   table.Print();
 
-  const double makespan_gain = 1.0 - results[1].makespan / results[0].makespan;
-  const double p99_gain = 1.0 - p99_latency[1] / p99_latency[0];
-  const double mean_gain = 1.0 - mean_latency[1] / mean_latency[0];
   std::printf(
-      "Affinity (th=1) vs first-fit: makespan %s, mean latency %s, "
-      "p99 latency %s better.\n",
-      bench::Percent(makespan_gain).c_str(), bench::Percent(mean_gain).c_str(),
-      bench::Percent(p99_gain).c_str());
+      "th=4 vs th=1: makespan %s, mean latency %s, p99 latency %s better.\n",
+      bench::Percent(1.0 - results[1].makespan / results[0].makespan).c_str(),
+      bench::Percent(1.0 - mean_latency[1] / mean_latency[0]).c_str(),
+      bench::Percent(1.0 - p99_latency[1] / p99_latency[0]).c_str());
   std::printf(
-      "Affinity (th=4) vs first-fit: makespan %s, mean latency %s, "
-      "p99 latency %s better.\n",
-      bench::Percent(1.0 - results[2].makespan / results[0].makespan).c_str(),
-      bench::Percent(1.0 - mean_latency[2] / mean_latency[0]).c_str(),
-      bench::Percent(1.0 - p99_latency[2] / p99_latency[0]).c_str());
-  std::printf(
-      "Shape check: affinity wins by retaining proven (high share value) "
-      "libraries, so popular arrivals keep hitting warm slots instead of "
-      "paying a cold redeploy.\n");
+      "Shape check: the threshold trades throughput (th=1, parallel drain) "
+      "against latency (th=4, fewer cold starts); read the rows as the ends "
+      "of one knob.\n");
 
   bench::JsonReport report("zipf_popularity");
   report.AddMeasured("workers", static_cast<double>(num_workers));
@@ -165,56 +146,22 @@ int main(int argc, char** argv) {
   report.AddMeasured("invocations", static_cast<double>(invocations));
   report.AddMeasured("arrival_rate_per_s", arrival_rate);
   report.AddMeasured("zipf_s", zipf_s);
-  report.AddMeasured("firstfit_makespan_s", results[0].makespan);
-  report.AddMeasured("affinity_makespan_s", results[1].makespan);
-  report.AddMeasured("firstfit_mean_latency_s", mean_latency[0]);
-  report.AddMeasured("affinity_mean_latency_s", mean_latency[1]);
-  report.AddMeasured("firstfit_p99_latency_s", p99_latency[0]);
-  report.AddMeasured("affinity_p99_latency_s", p99_latency[1]);
-  report.AddMeasured("makespan_improvement", makespan_gain);
-  report.AddMeasured("mean_latency_improvement", mean_gain);
-  report.AddMeasured("p99_latency_improvement", p99_gain);
-  // The consolidating (default steal_threshold) variant, for the knob
-  // trade-off record: best latency, small makespan give-back.
-  report.AddMeasured("consolidating_makespan_s", results[2].makespan);
-  report.AddMeasured("consolidating_mean_latency_s", mean_latency[2]);
-  report.AddMeasured("consolidating_p99_latency_s", p99_latency[2]);
-  report.AddMeasured("consolidating_makespan_improvement",
-                     1.0 - results[2].makespan / results[0].makespan);
-  report.AddMeasured("consolidating_p99_latency_improvement",
-                     1.0 - p99_latency[2] / p99_latency[0]);
-  report.AddMeasured("firstfit_deploys",
-                     static_cast<double>(results[0].libraries_deployed_total));
-  report.AddMeasured("affinity_deploys",
-                     static_cast<double>(results[1].libraries_deployed_total));
-  report.AddMeasured("firstfit_evicts",
-                     static_cast<double>(results[0].autoscale_evicts));
-  report.AddMeasured("affinity_evicts",
-                     static_cast<double>(results[1].autoscale_evicts));
-  report.AddMeasured("affinity_steals",
-                     static_cast<double>(results[1].steals));
-  const double routed = static_cast<double>(results[1].affinity_hits +
-                                            results[1].affinity_misses);
-  report.AddMeasured("affinity_hit_rate",
-                     routed > 0 ? static_cast<double>(
-                                      results[1].affinity_hits) /
-                                      routed
-                                : 0.0);
-  const double routed0 = static_cast<double>(results[0].affinity_hits +
-                                             results[0].affinity_misses);
-  report.AddMeasured("firstfit_hit_rate",
-                     routed0 > 0 ? static_cast<double>(
-                                       results[0].affinity_hits) /
-                                       routed0
-                                 : 0.0);
-  report.AddMeasured(
-      "affinity_mean_batch",
-      results[1].dispatch_batches > 0
-          ? static_cast<double>(results[1].dispatch_batched_invocations) /
-                static_cast<double>(results[1].dispatch_batches)
-          : 0.0);
-  report.AddMeasured("affinity_max_batch",
-                     static_cast<double>(results[1].dispatch_max_batch));
+  for (int i = 0; i < kCases; ++i) {
+    const SimResult& r = results[i];
+    const std::string key = cases[i].key;
+    report.AddMeasured(key + "_makespan_s", r.makespan);
+    report.AddMeasured(key + "_mean_latency_s", mean_latency[i]);
+    report.AddMeasured(key + "_p99_latency_s", p99_latency[i]);
+    report.AddMeasured(key + "_hit_rate", hit_rate[i]);
+    report.AddMeasured(key + "_deploys",
+                       static_cast<double>(r.libraries_deployed_total));
+    report.AddMeasured(key + "_evicts",
+                       static_cast<double>(r.autoscale_evicts));
+    report.AddMeasured(key + "_steals", static_cast<double>(r.steals));
+    report.AddMeasured(key + "_mean_batch", mean_batch[i]);
+    report.AddMeasured(key + "_max_batch",
+                       static_cast<double>(r.dispatch_max_batch));
+  }
   report.Write();
   return 0;
 }

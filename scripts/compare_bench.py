@@ -20,6 +20,15 @@ against a candidate:
 repo (makespans, per-phase seconds, share deltas) is smaller-is-better.
 Metrics present in only one report are listed but never gate.
 
+A baseline that carries a "gates" list (the checked-in bench/*_baseline.json
+files) is checked gate by gate instead of diffed.  Each gate names a metric
+of the candidate report and bounds it with any of:
+
+  "min": V / "max": V          absolute bounds on the measured value;
+  "baseline": B, "max_rise": F  the measured value may exceed B by at most
+                                the fraction F;
+  "near": T, "within": D        the measured value is within D of T.
+
 Usage: compare_bench.py <baseline.json> <candidate.json>
                         [--threshold FRACTION] [--allow-config-mismatch]
 """
@@ -33,6 +42,42 @@ def load(path):
         report = json.load(f)
     entries = {e["metric"]: e["measured"] for e in report.get("entries", [])}
     return report, entries
+
+
+def check_gates(baseline, cand):
+    """Checks every gate of a gated baseline; exits non-zero on failure."""
+    failures = []
+    for gate in baseline["gates"]:
+        metric = gate["metric"]
+        if metric not in cand:
+            print(f"FAIL: {metric} missing from the report")
+            failures.append(metric)
+            continue
+        value = cand[metric]
+        bounds = []
+        if "min" in gate:
+            bounds.append((value >= gate["min"], f">= {gate['min']:.6g}"))
+        if "max" in gate:
+            bounds.append((value <= gate["max"], f"<= {gate['max']:.6g}"))
+        if "within" in gate:
+            bounds.append((abs(value - gate["near"]) <= gate["within"],
+                           f"within {gate['within']:.6g} of "
+                           f"{gate['near']:.6g}"))
+        if "max_rise" in gate:
+            limit = gate["baseline"] * (1.0 + gate["max_rise"])
+            bounds.append((value <= limit,
+                           f"<= {limit:.6g} ({gate['max_rise']:.0%} over "
+                           f"baseline {gate['baseline']:.6g})"))
+        if not bounds:
+            sys.exit(f"gate on {metric} names no bound")
+        ok = all(passed for passed, _ in bounds)
+        print(f"{'PASS' if ok else 'FAIL'}: {metric} = {value:.6g}, need "
+              f"{' and '.join(text for _, text in bounds)}")
+        if not ok:
+            failures.append(metric)
+    if failures:
+        sys.exit(f"{len(failures)} gate(s) failed: {', '.join(failures)}")
+    print(f"all {len(baseline['gates'])} {baseline['bench']} gates passed")
 
 
 def main():
@@ -52,6 +97,9 @@ def main():
     if base_report.get("bench") != cand_report.get("bench"):
         sys.exit(f"refusing to compare different benches: "
                  f"{base_report.get('bench')} vs {cand_report.get('bench')}")
+    if "gates" in base_report:
+        check_gates(base_report, cand)
+        return
 
     base_fp = base_report.get("config_fingerprint")
     cand_fp = cand_report.get("config_fingerprint")

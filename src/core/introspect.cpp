@@ -51,9 +51,9 @@ std::string FormatClusterStatus(const ClusterStatus& status) {
     out += "\n";
   }
   const SchedulerStatus& sched = status.scheduler;
-  out += "  scheduler " + sched.policy + ": hit rate " +
-         Seconds(sched.HitRate()) + " (" + std::to_string(sched.affinity_hits) +
-         " hits / " + std::to_string(sched.affinity_misses) + " misses), " +
+  out += "  scheduler: hit rate " + Seconds(sched.HitRate()) + " (" +
+         std::to_string(sched.affinity_hits) + " hits / " +
+         std::to_string(sched.affinity_misses) + " misses), " +
          std::to_string(sched.steals) + " steal(s), autoscaler +" +
          std::to_string(sched.autoscale_deploys) + "/-" +
          std::to_string(sched.autoscale_evicts) + "\n";
@@ -166,8 +166,7 @@ std::string ClusterStatusToJson(const ClusterStatus& status) {
     out += "]}";
   }
   const SchedulerStatus& sched = status.scheduler;
-  out += "\n],\n\"scheduler\": {\"policy\":\"" + JsonEscape(sched.policy) +
-         "\",\"hit_rate\":" + Seconds(sched.HitRate()) +
+  out += "\n],\n\"scheduler\": {\"hit_rate\":" + Seconds(sched.HitRate()) +
          ",\"affinity_hits\":" + std::to_string(sched.affinity_hits) +
          ",\"affinity_misses\":" + std::to_string(sched.affinity_misses) +
          ",\"steals\":" + std::to_string(sched.steals) +

@@ -68,10 +68,9 @@ struct AffinitySetStatus {
   std::vector<WorkerId> workers;
 };
 
-/// Scheduler + autoscaler view: routing policy, affinity hit rate, steal
-/// and autoscale action counts, and the dispatch batch-size distribution.
+/// Scheduler + autoscaler view: affinity hit rate, steal and autoscale
+/// action counts, and the dispatch batch-size distribution.
 struct SchedulerStatus {
-  std::string policy;  // "affinity" or "first_fit"
   std::uint64_t affinity_hits = 0;
   std::uint64_t affinity_misses = 0;
   std::uint64_t steals = 0;

@@ -534,6 +534,7 @@ void Manager::HandleFrame(const net::Frame& frame) {
           if (it->second.state != InstanceState::kInstalling) return;
           it->second.state = InstanceState::kReady;
           it->second.context_memory = msg.context_memory_bytes;
+          it->second.ready_s = Now();
           affinity_.Add(it->second.library, it->second.worker);
           SyncAffinityGauge();
           m_.libraries_deployed->Add();

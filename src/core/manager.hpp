@@ -60,8 +60,7 @@ struct ManagerConfig {
   /// A worker is flagged as a straggler by QueryStatus when its rolling p95
   /// invocation latency exceeds this multiple of the cluster median.
   double straggler_factor = 3.0;
-  /// Invocation routing + library autoscaling policy (context affinity by
-  /// default; kFirstFit restores the legacy first-ready-instance behaviour).
+  /// Context-affinity invocation routing + library autoscaling knobs.
   SchedulerConfig scheduler;
   /// Declarative per-library latency/goodput targets.  When any target is
   /// configured the manager evaluates a sliding window of invocation
@@ -392,6 +391,7 @@ class Manager {
     std::map<InvocationId, PendingCall> running;
     std::uint64_t served = 0;
     std::uint64_t context_memory = 0;  // reported at LibraryReady
+    double ready_s = 0;                // telemetry clock at LibraryReady
     /// Trace of the call that triggered this deployment; library staging and
     /// install spans chain off it.
     telemetry::TraceContext trace;

@@ -44,8 +44,6 @@ void Manager::StartStatusQuery(StatusCmd cmd) {
   status.straggler_factor = config_.straggler_factor;
   for (const auto& [name, info] : libraries_)
     status.library_queues.push_back({name, info.queue.size()});
-  status.scheduler.policy =
-      std::string(SchedulerPolicyName(config_.scheduler.policy));
   status.scheduler.affinity_hits = m_.affinity_hits->Value();
   status.scheduler.affinity_misses = m_.affinity_misses->Value();
   status.scheduler.steals = m_.steals->Value();

@@ -132,21 +132,12 @@ void Manager::TryScheduleLibrary(const std::string& library_name) {
   while (!info.queue.empty()) {
     if (TryDispatchCall(info)) continue;
     // No warm slot took the call: close the loop through the autoscaler.
-    // Under kFirstFit the legacy rule applies (deploy whenever the backlog
-    // exceeds upcoming capacity); under kAffinity a deploy additionally
-    // requires the per-warm-instance backlog to cross the steal threshold,
-    // so small backlogs drain through the affinity set instead of
-    // displacing warm capacity elsewhere.
+    // A displacing deploy requires the per-instance backlog to cross the
+    // steal threshold, so small backlogs drain through the affinity set
+    // instead of displacing warm capacity elsewhere.
     const AutoscaleSignal signal = BuildAutoscaleSignal(library_name);
-    AutoscaleAction action;
-    if (config_.scheduler.policy == SchedulerPolicy::kFirstFit) {
-      action = signal.queue_depth <= signal.free_slots + signal.pending_slots
-                   ? AutoscaleAction::kHold
-                   : AutoscaleAction::kDeploy;
-    } else {
-      action = DecideAutoscale(config_.scheduler, signal);
-    }
-    if (action != AutoscaleAction::kDeploy) break;  // capacity is on the way
+    if (DecideAutoscale(config_.scheduler, signal) != AutoscaleAction::kDeploy)
+      break;  // capacity is on the way
     if (TryDeployInstance(library_name)) {
       m_.autoscale_deploys->Add();
       continue;
@@ -160,61 +151,47 @@ void Manager::TryScheduleLibrary(const std::string& library_name) {
 
 bool Manager::TryDispatchCall(LibraryInfo& info) {
   if (info.queue.empty()) return false;
-  InstanceInfo* chosen = nullptr;
-  if (config_.scheduler.policy == SchedulerPolicy::kFirstFit) {
-    // Legacy: first ready instance in map (deployment) order.
-    for (auto& [_, instance] : instances_) {
-      if (instance.library != info.spec.name) continue;
-      if (instance.state != InstanceState::kReady) continue;
-      if (instance.slots_in_use >= instance.slots) continue;
-      chosen = &instance;
-      break;
-    }
-  } else {
-    // Context affinity: least-loaded warm instance via the shared policy
-    // helper (ties break to the lowest instance id — deterministic, and
-    // identical to the simulator's choice).
-    std::vector<DispatchCandidate> candidates;
-    std::vector<InstanceInfo*> backing;
-    for (auto& [_, instance] : instances_) {
-      if (instance.library != info.spec.name) continue;
-      if (instance.state != InstanceState::kReady) continue;
-      candidates.push_back(
-          {instance.id, instance.slots - instance.slots_in_use});
-      backing.push_back(&instance);
-    }
-    // Ref-aware placement: among warm instances, keep only the ones whose
-    // worker already holds the most ref-argument bytes of the next call —
-    // co-locating consumer with replica makes the peer fetch disappear.
-    // Least-loaded still breaks ties within the kept subset.
-    if (!info.queue.front().ref_args.empty() && backing.size() > 1) {
-      const PendingCall& front = info.queue.front();
-      std::vector<std::uint64_t> score(backing.size(), 0);
-      std::uint64_t best = 0;
-      for (std::size_t i = 0; i < backing.size(); ++i) {
-        for (const RefArg& arg : front.ref_args)
-          if (replicas_.HasReplica(arg.ref.id, backing[i]->worker))
-            score[i] += arg.ref.size;
-        best = std::max(best, score[i]);
-      }
-      if (best > 0) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < backing.size(); ++i) {
-          if (score[i] != best) continue;
-          candidates[keep] = candidates[i];
-          backing[keep] = backing[i];
-          ++keep;
-        }
-        candidates.resize(keep);
-        backing.resize(keep);
-      }
-    }
-    const std::size_t pick =
-        PickLeastLoaded(candidates.data(), candidates.size());
-    if (pick != kNoCandidate) chosen = backing[pick];
+  // Context affinity: least-loaded warm instance via the shared policy
+  // helper (ties break to the lowest instance id — deterministic, and
+  // identical to the simulator's choice).
+  std::vector<DispatchCandidate> candidates;
+  std::vector<InstanceInfo*> backing;
+  for (auto& [_, instance] : instances_) {
+    if (instance.library != info.spec.name) continue;
+    if (instance.state != InstanceState::kReady) continue;
+    candidates.push_back({instance.id, instance.slots - instance.slots_in_use});
+    backing.push_back(&instance);
   }
-  if (chosen == nullptr) return false;
-  return DispatchCallsTo(*chosen, info.queue) > 0;
+  // Ref-aware placement: among warm instances, keep only the ones whose
+  // worker already holds the most ref-argument bytes of the next call —
+  // co-locating consumer with replica makes the peer fetch disappear.
+  // Least-loaded still breaks ties within the kept subset.
+  if (!info.queue.front().ref_args.empty() && backing.size() > 1) {
+    const PendingCall& front = info.queue.front();
+    std::vector<std::uint64_t> score(backing.size(), 0);
+    std::uint64_t best = 0;
+    for (std::size_t i = 0; i < backing.size(); ++i) {
+      for (const RefArg& arg : front.ref_args)
+        if (replicas_.HasReplica(arg.ref.id, backing[i]->worker))
+          score[i] += arg.ref.size;
+      best = std::max(best, score[i]);
+    }
+    if (best > 0) {
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < backing.size(); ++i) {
+        if (score[i] != best) continue;
+        candidates[keep] = candidates[i];
+        backing[keep] = backing[i];
+        ++keep;
+      }
+      candidates.resize(keep);
+      backing.resize(keep);
+    }
+  }
+  const std::size_t pick =
+      PickLeastLoaded(candidates.data(), candidates.size());
+  if (pick == kNoCandidate) return false;
+  return DispatchCallsTo(*backing[pick], info.queue) > 0;
 }
 
 std::size_t Manager::DispatchCallsTo(InstanceInfo& instance,
@@ -251,9 +228,16 @@ std::size_t Manager::DispatchCallsTo(InstanceInfo& instance,
     PendingCall call = std::move(queue.front());
     queue.pop_front();
     ++instance.slots_in_use;
+    // The call whose trace this instance adopted waited on its install; its
+    // dispatch span starts at readiness so it does not cover the install
+    // spans of the same trace.
+    const bool adopted = call.trace.valid() &&
+                         call.trace.trace_id == instance.trace.trace_id;
     call.trace = telemetry_->tracer.EmitLinked(
         call.trace, telemetry::Phase::kDispatch, "invocation", "manager",
-        call.id, call.queued_s, Now());
+        call.id,
+        adopted ? std::max(call.queued_s, instance.ready_s) : call.queued_s,
+        Now());
     RunInvocationMsg msg;
     msg.id = call.id;
     msg.instance_id = instance.id;
@@ -350,10 +334,6 @@ bool Manager::TryEvictEmptyLibrary(const std::string& for_library) {
     auto lib_it = libraries_.find(instance.library);
     if (lib_it != libraries_.end() && !lib_it->second.queue.empty()) continue;
 
-    if (config_.scheduler.policy != SchedulerPolicy::kAffinity) {
-      victim = &instance;  // legacy first-fit: first idle instance wins
-      break;
-    }
     const bool preferred =
         DecideAutoscale(config_.scheduler,
                         BuildAutoscaleSignal(instance.library)) ==

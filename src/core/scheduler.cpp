@@ -2,14 +2,6 @@
 
 namespace vinelet::core {
 
-std::string_view SchedulerPolicyName(SchedulerPolicy policy) noexcept {
-  switch (policy) {
-    case SchedulerPolicy::kFirstFit: return "first_fit";
-    case SchedulerPolicy::kAffinity: return "affinity";
-  }
-  return "unknown";
-}
-
 void AffinityIndex::Add(const std::string& library, WorkerId worker) {
   ++table_[library][worker];
 }

@@ -28,16 +28,7 @@
 
 namespace vinelet::core {
 
-enum class SchedulerPolicy : std::uint8_t {
-  kFirstFit = 0,  // legacy: first ready instance in map order
-  kAffinity,      // least-loaded affine worker + threshold-gated stealing
-};
-
-std::string_view SchedulerPolicyName(SchedulerPolicy policy) noexcept;
-
 struct SchedulerConfig {
-  SchedulerPolicy policy = SchedulerPolicy::kAffinity;
-
   /// Queued invocations per instance — warm or already deploying — a
   /// library tolerates before the scheduler recruits cold capacity, i.e.
   /// before a deploy may displace another library's idle warm instance.  A

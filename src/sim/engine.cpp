@@ -35,12 +35,6 @@ VineSim::VineSim(SimConfig config, std::vector<InvocationSpec> invocations)
       &sim_, config_.cluster.manager_link_Bps);
   manager_ = std::make_unique<SerialServer>(&sim_);
 
-  for (const auto& spec : invocations_) {
-    if (spec.library != 0) {
-      multi_library_ = true;
-      break;
-    }
-  }
   const auto nodes = SampleCluster(config_.cluster, rng_);
   workers_.reserve(nodes.size());
   const std::uint32_t cores_per_invocation =
@@ -111,17 +105,11 @@ SimResult VineSim::Run() {
   for (std::size_t i = 0; i < invocations_.size(); ++i) {
     if (invocations_[i].arrival_s <= 0.0) {
       // Closed batch: queued before the clock starts, as always.
-      if (AffinityMode())
-        lib_pending_[invocations_[i].library].push_back(i);
-      else
-        pending_.push_back(i);
+      Enqueue(i);
       continue;
     }
     sim_.At(invocations_[i].arrival_s, [this, i] {
-      if (AffinityMode())
-        lib_pending_[invocations_[i].library].push_back(i);
-      else
-        pending_.push_back(i);
+      Enqueue(i);
       queued_at_[i] = sim_.Now();
       PumpDispatch();
     });
@@ -179,9 +167,16 @@ SimResult VineSim::Run() {
   return result_;
 }
 
+void VineSim::Enqueue(std::size_t invocation) {
+  if (config_.level == core::ReuseLevel::kL3)
+    lib_pending_[invocations_[invocation].library].push_back(invocation);
+  else
+    pending_.push_back(invocation);
+}
+
 void VineSim::PumpDispatch() {
-  if (AffinityMode()) {
-    PumpAffinity();
+  if (config_.level == core::ReuseLevel::kL3) {
+    PumpLibraries();
     return;
   }
   while (!pending_.empty()) {
@@ -357,8 +352,11 @@ void VineSim::RecordProducedResult(std::size_t worker_index,
 }
 
 double VineSim::Contention(const SimWorker& worker, double beta) const {
-  if (worker.slots <= 1 || worker.active <= 1) return 1.0;
-  const double co_located = static_cast<double>(worker.active - 1) /
+  // Library instances mid-setup occupy their slots as much as running
+  // invocations do, so a rollout's concurrent setups contend too.
+  const std::uint32_t busy = worker.active + worker.deploying;
+  if (worker.slots <= 1 || busy <= 1) return 1.0;
+  const double co_located = static_cast<double>(busy - 1) /
                             static_cast<double>(worker.slots - 1);
   return 1.0 + beta * co_located;
 }
@@ -527,155 +525,20 @@ void VineSim::RunL2(SimWorker& worker, std::size_t invocation,
   });
 }
 
-void VineSim::RunL3(SimWorker& worker, std::size_t invocation,
-                    double started) {
-  // Invocation against a resident library.  Libraries carry
-  // config_.library_slots invocation slots each; the paper's LNNI
-  // deployment uses 1, so a 16-slot worker hosts up to 16 instances
-  // (Fig 10).  A free library slot serves the invocation immediately;
-  // otherwise a new instance is deployed if the worker has room
-  // (environment shared per worker, in-memory setup per instance), and
-  // failing that the invocation waits for an instance mid-setup.
-  ServeL3(worker.node.index, worker.generation, invocation, started);
-}
-
-void VineSim::DrainLibraryWaiters(SimWorker& worker) {
-  while (worker.library_free_slots > 0 && !worker.library_waiters.empty()) {
-    auto waiter = std::move(worker.library_waiters.front());
-    worker.library_waiters.erase(worker.library_waiters.begin());
-    waiter();
-  }
-}
-
-void VineSim::ServeL3(std::size_t worker_index, std::uint64_t generation,
-                      std::size_t invocation, double started) {
-  if (!WorkerValid(worker_index, generation)) {
-    Requeue(invocation);
-    return;
-  }
-  SimWorker& w = workers_[worker_index];
-  if (w.library_free_slots > 0) {
-    --w.library_free_slots;
-    RunL3Invocation(worker_index, generation, invocation, started);
-    return;
-  }
-  const std::uint32_t k = std::max(1u, config_.library_slots);
-  const WorkloadCosts& costs = *invocations_[invocation].costs;
-  if ((w.libraries + w.deploying) * k < w.slots) {
-    // Room for another instance: stage the env, run the setup, then this
-    // invocation takes the first of its slots.
-    ++w.deploying;
-    EnsureEnv(worker_index, generation, trace_ctx_[invocation],
-              [this, worker_index, generation, invocation, started, k,
-               &costs] {
-      if (!WorkerValid(worker_index, generation)) {
-        Requeue(invocation);
-        return;
-      }
-      SimWorker& w2 = workers_[worker_index];
-      AccumEnvWait(invocation, w2, started, sim_.Now());
-      const double setup_cpu = costs.context_setup_cpu_s *
-                               Contention(w2, costs.contention_beta_context);
-      const double setup_d = setup_cpu / w2.node.speed;
-      CpuPhase(
-          w2, setup_cpu,
-          [this, worker_index, generation, invocation, started, k, setup_d] {
-            if (!WorkerValid(worker_index, generation)) {
-              Requeue(invocation);
-              return;
-            }
-            if (config_.fault.worker.setup_failure_p > 0.0 &&
-                fault_.InjectSetupFailure(worker_index + 1)) {
-              // Setup failed after burning the setup time: the instance never
-              // becomes active and the invocation retries from scheduling
-              // (an existing slot, or another deploy attempt).
-              SimWorker& wf = workers_[worker_index];
-              if (wf.deploying > 0) --wf.deploying;
-              ServeL3(worker_index, generation, invocation, started);
-              return;
-            }
-            trace_ctx_[invocation] = TraceSpan(
-                trace_ctx_[invocation], telemetry::Phase::kContextSetup,
-                "library", "worker-" + std::to_string(worker_index),
-                invocation, sim_.Now() - setup_d, sim_.Now());
-            if (config_.track_trace)
-              phases_[invocation].setup_s += setup_d;
-            SimWorker& w3 = workers_[worker_index];
-            if (w3.deploying > 0) --w3.deploying;
-            ++w3.libraries;
-            ++result_.libraries_deployed_total;
-            ++active_libraries_;
-            result_.libraries_peak_active =
-                std::max(result_.libraries_peak_active, active_libraries_);
-            // This invocation takes one of the k fresh slots; the rest can
-            // serve queued invocations.
-            w3.library_free_slots += k - 1;
-            DrainLibraryWaiters(w3);
-            RunL3Invocation(worker_index, generation, invocation, started);
-          });
-    });
-    return;
-  }
-  // Every possible instance is deployed or deploying and every slot is
-  // busy: wait for a slot (released on completion or by a finishing setup).
-  w.library_waiters.push_back(
-      [this, worker_index, generation, invocation, started] {
-        ServeL3(worker_index, generation, invocation, started);
-      });
-}
-
-void VineSim::RunL3Invocation(std::size_t worker_index,
-                              std::uint64_t generation,
-                              std::size_t invocation, double started) {
-  SimWorker& w = workers_[worker_index];
-  const WorkloadCosts& costs = *invocations_[invocation].costs;
-  const double over_cpu = costs.invocation_overhead_s;
-  const double exec_cpu = costs.exec_cpu_s *
-                          invocations_[invocation].exec_scale *
-                          ExecNoise(costs) *
-                          Contention(w, costs.contention_beta_exec);
-  const double over_d = over_cpu / w.node.speed;
-  const double exec_d = exec_cpu / w.node.speed;
-  CpuPhase(w, over_cpu + exec_cpu,
-           [this, worker_index, generation, invocation, started, over_d,
-            exec_d] {
-             if (WorkerValid(worker_index, generation)) {
-               const double end = sim_.Now();
-               const std::string track =
-                   "worker-" + std::to_string(worker_index);
-               trace_ctx_[invocation] = TraceSpan(
-                   trace_ctx_[invocation], telemetry::Phase::kDeserialize,
-                   "invocation", track, invocation, end - over_d - exec_d,
-                   end - exec_d);
-               trace_ctx_[invocation] = TraceSpan(
-                   trace_ctx_[invocation], telemetry::Phase::kExec,
-                   "invocation", track, invocation, end - exec_d, end);
-               if (config_.track_trace) {
-                 phases_[invocation].setup_s += over_d;
-                 phases_[invocation].exec_s += exec_d;
-               }
-               SimWorker& w2 = workers_[worker_index];
-               ++w2.library_free_slots;
-               DrainLibraryWaiters(w2);
-             }
-             CompleteOnWorker(worker_index, generation, invocation, started);
-           });
-}
-
 // ---------------------------------------------------------------------------
-// Context-affinity scheduling mirror: the same pure policy functions the
-// live Manager runs (core/scheduler.hpp), driven by the DES event loop, so
-// one (config, workload) pair produces identical scheduling decisions in
-// both backends — just at 10k-worker scale here.
+// L3 library scheduling: the same pure policy functions the live Manager
+// runs (core/scheduler.hpp), driven by the DES event loop, so one (config,
+// workload) pair produces identical scheduling decisions in both backends —
+// just at 10k-worker scale here.
 // ---------------------------------------------------------------------------
 
-void VineSim::PumpAffinity() {
+void VineSim::PumpLibraries() {
   bool progress = true;
   while (progress) {
     progress = false;
     for (auto& [lib, queue] : lib_pending_) {
       if (queue.empty()) continue;
-      if (ScheduleLibraryAffinity(lib)) progress = true;
+      if (ScheduleLibrary(lib)) progress = true;
     }
   }
 }
@@ -705,15 +568,12 @@ core::AutoscaleSignal VineSim::BuildSimSignal(std::size_t lib) const {
   return signal;
 }
 
-bool VineSim::ScheduleLibraryAffinity(std::size_t lib) {
-  const bool affinity =
-      config_.scheduler.policy == core::SchedulerPolicy::kAffinity;
+bool VineSim::ScheduleLibrary(std::size_t lib) {
   auto& queue = lib_pending_[lib];
   bool any = false;
   while (!queue.empty()) {
-    // Route to a warm slot.  kAffinity: least-loaded via the shared
-    // decision function, same tie-break as Manager::TryDispatchCall.
-    // kFirstFit: the first warm instance in order, the legacy rule.
+    // Route to the least-loaded warm slot via the shared decision function,
+    // same tie-break as Manager::TryDispatchCall.
     std::vector<core::DispatchCandidate> candidates;
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       if (!workers_[w].alive) continue;
@@ -722,7 +582,6 @@ bool VineSim::ScheduleLibraryAffinity(std::size_t lib) {
         continue;
       candidates.push_back(
           {static_cast<std::uint64_t>(w), it->second.free_slots});
-      if (!affinity) break;  // first fit: first candidate wins
     }
     const std::size_t pick =
         core::PickLeastLoaded(candidates.data(), candidates.size());
@@ -732,17 +591,9 @@ bool VineSim::ScheduleLibraryAffinity(std::size_t lib) {
       any = true;
       continue;
     }
-    const core::AutoscaleSignal signal = BuildSimSignal(lib);
-    core::AutoscaleAction action;
-    if (affinity) {
-      action = core::DecideAutoscale(config_.scheduler, signal);
-    } else {
-      // Legacy rule, as Manager::TryScheduleLibrary under kFirstFit.
-      action = signal.queue_depth <= signal.free_slots + signal.pending_slots
-                   ? core::AutoscaleAction::kHold
-                   : core::AutoscaleAction::kDeploy;
-    }
-    if (action != core::AutoscaleAction::kDeploy) break;
+    if (core::DecideAutoscale(config_.scheduler, BuildSimSignal(lib)) !=
+        core::AutoscaleAction::kDeploy)
+      break;
     if (TryDeploySim(lib)) {
       ++result_.autoscale_deploys;
       any = true;
@@ -799,28 +650,14 @@ void VineSim::DispatchBatchTo(std::size_t worker_index, std::size_t lib) {
           TraceSpan(trace_ctx_[invocation], telemetry::Phase::kDispatch,
                     "invocation", "manager", invocation, popped_s, sim_.Now());
       if (config_.track_trace) dispatch_times_[invocation] = sim_.Now();
-      if (!WorkerValid(worker_index, generation)) {
-        Requeue(invocation);
-        continue;
-      }
-      ++workers_[worker_index].active;
-      const double started = sim_.Now();
-      FetchRefArgs(worker_index, generation, invocation,
-                   [this, worker_index, generation, invocation, started] {
-        if (!WorkerValid(worker_index, generation)) {
-          Requeue(invocation);
-          return;
-        }
-        RunAffinityInvocation(worker_index, generation, invocation, started);
-      });
+      StartOnWorker(worker_index, generation, invocation);
     }
   });
 }
 
-void VineSim::RunAffinityInvocation(std::size_t worker_index,
-                                    std::uint64_t generation,
-                                    std::size_t invocation, double started) {
-  SimWorker& w = workers_[worker_index];
+void VineSim::RunL3(SimWorker& w, std::size_t invocation, double started) {
+  const std::size_t worker_index = w.node.index;
+  const std::uint64_t generation = w.generation;
   const WorkloadCosts& costs = *invocations_[invocation].costs;
   const std::size_t lib = invocations_[invocation].library;
   const double over_cpu = costs.invocation_overhead_s;
@@ -858,12 +695,9 @@ void VineSim::RunAffinityInvocation(std::size_t worker_index,
 
 bool VineSim::TryDeploySim(std::size_t lib) {
   const std::uint32_t k = std::max(1u, config_.library_slots);
-  // Deterministic target.  kAffinity: most uncommitted slots, ties to the
-  // lowest worker index; kFirstFit: the first worker with room.  (The
-  // runtime walks its hash ring; both orders are deterministic, which is
-  // what the decision-mirror tests rely on.)
-  const bool affinity =
-      config_.scheduler.policy == core::SchedulerPolicy::kAffinity;
+  // Deterministic target: most uncommitted slots, ties to the lowest worker
+  // index.  (The runtime walks its hash ring; both orders are
+  // deterministic, which is what the decision-mirror tests rely on.)
   std::size_t best = workers_.size();
   std::uint32_t best_room = 0;
   for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -876,7 +710,6 @@ bool VineSim::TryDeploySim(std::size_t lib) {
       best = w;
       best_room = room;
     }
-    if (!affinity) break;  // first fit: first worker with room wins
   }
   if (best == workers_.size()) return false;
 
@@ -889,17 +722,29 @@ bool VineSim::TryDeploySim(std::size_t lib) {
   ++worker.deploying;
   ++worker.libs[lib].deploying;
   const std::uint64_t generation = worker.generation;
+  // The deploy is its own causal trace, as the runtime's install is: a
+  // zero-length dispatch span on the worker track opens it, the env
+  // transfer and unpack chain off it when this deploy is the one that
+  // starts them, and the context-setup span closes it.
+  const std::string track = "worker-" + std::to_string(best);
+  const telemetry::TraceContext trace =
+      config_.telemetry == nullptr
+          ? telemetry::TraceContext{}
+          : config_.telemetry->tracer.StartTrace(
+                telemetry::Phase::kDispatch, "library", track, best,
+                sim_.Now(), sim_.Now());
   // Stage the (shared) environment, then pay the per-instance context
-  // setup — the same two phases ServeL3 charges, but owned by the
-  // autoscaler rather than the head-of-line invocation.
-  EnsureEnv(best, generation, telemetry::TraceContext{},
-            [this, best, generation, lib, k] {
+  // setup.
+  EnsureEnv(best, generation, trace,
+            [this, best, generation, lib, k, trace, track] {
     if (!WorkerValid(best, generation)) return;
     SimWorker& w2 = workers_[best];
     const WorkloadCosts& costs = *invocations_.front().costs;
     const double setup_cpu = costs.context_setup_cpu_s *
                              Contention(w2, costs.contention_beta_context);
-    CpuPhase(w2, setup_cpu, [this, best, generation, lib, k] {
+    const double setup_begin = sim_.Now();
+    CpuPhase(w2, setup_cpu,
+             [this, best, generation, lib, k, trace, track, setup_begin] {
       if (!WorkerValid(best, generation)) return;
       SimWorker& w3 = workers_[best];
       if (w3.deploying > 0) --w3.deploying;
@@ -912,6 +757,10 @@ bool VineSim::TryDeploySim(std::size_t lib) {
         PumpDispatch();
         return;
       }
+      // Chain off the env unpack when this deploy staged the env itself.
+      TraceSpan(w3.env_trace.trace_id == trace.trace_id ? w3.env_trace : trace,
+                telemetry::Phase::kContextSetup, "library", track, best,
+                setup_begin, sim_.Now());
       ++w3.libraries;
       ++state.instances;
       state.free_slots += k;
@@ -946,11 +795,6 @@ bool VineSim::TryEvictIdleSim(std::size_t for_lib) {
       auto queue_it = lib_pending_.find(lib);
       if (queue_it != lib_pending_.end() && !queue_it->second.empty())
         continue;
-      if (config_.scheduler.policy != core::SchedulerPolicy::kAffinity) {
-        victim_worker = w;  // legacy first-fit: first idle instance wins
-        victim_lib = lib;
-        break;
-      }
       const bool preferred =
           core::DecideAutoscale(config_.scheduler, BuildSimSignal(lib)) ==
           core::AutoscaleAction::kEvict;
@@ -963,9 +807,6 @@ bool VineSim::TryEvictIdleSim(std::size_t for_lib) {
         victim_served = state.served;
       }
     }
-    if (victim_worker != workers_.size() &&
-        config_.scheduler.policy != core::SchedulerPolicy::kAffinity)
-      break;
   }
   if (victim_worker == workers_.size()) return false;
   SimWorker& worker = workers_[victim_worker];
@@ -1180,9 +1021,9 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
     return;
   }
   SimWorker& worker = workers_[worker_index];
-  // Affinity mode tracks capacity through per-library slots instead of the
+  // L3 tracks capacity through per-library instance slots instead of the
   // round-robin worker slot pool.
-  if (!AffinityMode()) ++worker.free_slots;
+  if (config_.level != core::ReuseLevel::kL3) ++worker.free_slots;
   if (worker.active > 0) --worker.active;
   const net::WorkerFaults& wf = config_.fault.worker;
   if (wf.invocation_failure_p > 0.0 || wf.task_failure_p > 0.0) {
@@ -1248,10 +1089,7 @@ void VineSim::Requeue(std::size_t invocation) {
   ++result_.requeued_invocations;
   if (config_.track_trace) phases_[invocation] = PhaseAccum{};
   queued_at_[invocation] = sim_.Now();
-  if (AffinityMode())
-    lib_pending_[invocations_[invocation].library].push_back(invocation);
-  else
-    pending_.push_back(invocation);
+  Enqueue(invocation);
   PumpDispatch();
 }
 
@@ -1276,20 +1114,16 @@ void VineSim::KillWorkerNow(std::size_t worker_index) {
   active_libraries_ -= worker.libraries;
   worker.libraries = 0;
   worker.deploying = 0;
-  worker.library_free_slots = 0;
   worker.libs.clear();
   affinity_.RemoveWorker(static_cast<core::WorkerId>(worker_index + 1));
   worker.active = 0;
   worker.env = SimWorker::Env::kAbsent;
-  // Fire pending env and library waiters: each observes the dead worker
-  // and requeues its invocation.  In-flight compute/transfer phases
-  // requeue lazily when they observe the generation change.
+  // Fire pending env waiters: each observes the dead worker and requeues
+  // its invocation.  In-flight compute/transfer phases requeue lazily when
+  // they observe the generation change.
   auto waiters = std::move(worker.env_waiters);
   worker.env_waiters.clear();
   for (auto& fn : waiters) fn();
-  auto lib_waiters = std::move(worker.library_waiters);
-  worker.library_waiters.clear();
-  for (auto& fn : lib_waiters) fn();
   sim_.After(config_.worker_respawn_delay_s, [this, worker_index] {
     if (done_) return;
     SimWorker& w = workers_[worker_index];

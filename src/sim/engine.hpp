@@ -33,9 +33,9 @@ namespace vinelet::sim {
 struct InvocationSpec {
   const WorkloadCosts* costs = nullptr;
   double exec_scale = 1.0;
-  /// Library the invocation targets (affinity scheduling mode).  The
-  /// single-library workloads leave this 0; Zipf-popularity mixes spread
-  /// it over many libraries so per-library affinity sets matter.
+  /// Library the invocation targets (L3).  The single-library workloads
+  /// leave this 0; Zipf-popularity mixes spread it over many libraries so
+  /// per-library affinity sets matter.
   std::size_t library = 0;
   /// Virtual submission time.  0 (the default) submits at t=0 — the closed
   /// batch every established workload uses, bit-identical to before the
@@ -121,13 +121,11 @@ struct SimConfig {
   /// model carries no individual messages.
   net::FaultPlan fault;
 
-  /// Scheduling policy mirror.  Defaults to kFirstFit — the legacy
-  /// round-robin dispatch — so established experiments (Fig 3/8 baselines)
-  /// reproduce bit-identically.  kAffinity (L3 only) activates the same
+  /// L3 scheduling knobs.  Every L3 invocation runs through the same
   /// per-library affinity routing, threshold-gated stealing, and
   /// closed-loop autoscaler the live Manager runs, through the identical
-  /// pure decision functions in core/scheduler.hpp.
-  core::SchedulerConfig scheduler{core::SchedulerPolicy::kFirstFit};
+  /// pure decision functions in core/scheduler.hpp.  L1/L2 tasks ignore it.
+  core::SchedulerConfig scheduler;
 
   /// Pass-by-reference data-plane mirror.  false (by value, the default):
   /// every produced result crosses the manager uplink on retrieve and again
@@ -191,7 +189,7 @@ struct SimResult {
   std::uint64_t injected_task_failures = 0;
   std::uint64_t injected_stragglers = 0;
 
-  // Affinity-scheduling mirror counters (kAffinity mode only).
+  // Affinity-scheduling mirror counters (L3 only).
   std::uint64_t affinity_hits = 0;    // invocations routed into a warm slot
   std::uint64_t affinity_misses = 0;  // deploys forced by a cold backlog
   std::uint64_t steals = 0;           // deploys onto non-affine workers
@@ -253,12 +251,10 @@ class VineSim {
     /// transfer and unpack spans.
     telemetry::TraceContext env_trace;
     std::unique_ptr<FairShareResource> disk;
-    std::uint32_t libraries = 0;           // deployed instances (L3)
-    std::uint32_t deploying = 0;           // instances mid-setup
-    std::uint32_t library_free_slots = 0;  // deployed, currently idle slots
-    std::vector<std::function<void()>> library_waiters;
-    /// Per-library instance state (affinity mode; the anonymous aggregate
-    /// counters above still track totals for capacity accounting).
+    std::uint32_t libraries = 0;  // deployed instances (L3)
+    std::uint32_t deploying = 0;  // instances mid-setup
+    /// Per-library instance state (the aggregate counters above track
+    /// totals for capacity accounting).
     struct LibState {
       std::uint32_t instances = 0;   // ready instances of the library here
       std::uint32_t deploying = 0;   // instances mid-setup
@@ -270,6 +266,9 @@ class VineSim {
     std::uint64_t generation = 0;  // incremented on respawn
   };
 
+  /// Queues `invocation` for dispatch: the round-robin task queue at L1/L2,
+  /// its library's queue at L3.
+  void Enqueue(std::size_t invocation);
   void PumpDispatch();
   void StartOnWorker(std::size_t worker_index, std::uint64_t generation,
                      std::size_t invocation);
@@ -290,42 +289,25 @@ class VineSim {
                             std::size_t invocation,
                             std::function<void()> retrieve);
 
-  // --- context-affinity scheduling mirror (core/scheduler.hpp policy) ---
-  /// The per-library scheduling path runs for kAffinity, and also for
-  /// kFirstFit whenever the workload names more than one library — the
-  /// anonymous legacy path cannot tell libraries apart, and a first-fit
-  /// baseline over a multi-library mix must still deploy per library.
-  bool AffinityMode() const {
-    if (config_.level != core::ReuseLevel::kL3) return false;
-    return config_.scheduler.policy == core::SchedulerPolicy::kAffinity ||
-           multi_library_;
-  }
+  // --- L3 library scheduling mirror (core/scheduler.hpp policy) ---
   /// Library key into the shared AffinityIndex (workers are 1-based there,
   /// matching runtime endpoint ids).
   static std::string LibKey(std::size_t lib) { return std::to_string(lib); }
-  void PumpAffinity();
+  void PumpLibraries();
   /// Mirrors Manager::TryScheduleLibrary: drain the library's queue through
   /// warm slots, then close the loop via DecideAutoscale.  Returns true if
   /// any invocation was dispatched or capacity change was initiated.
-  bool ScheduleLibraryAffinity(std::size_t lib);
+  bool ScheduleLibrary(std::size_t lib);
   core::AutoscaleSignal BuildSimSignal(std::size_t lib) const;
   /// Pops up to min(queue, free slots, max_batch) invocations onto the
   /// chosen worker as one batched dispatch message.
   void DispatchBatchTo(std::size_t worker_index, std::size_t lib);
-  void RunAffinityInvocation(std::size_t worker_index,
-                             std::uint64_t generation,
-                             std::size_t invocation, double started);
   bool TryDeploySim(std::size_t lib);
   bool TryEvictIdleSim(std::size_t for_lib);
   void RunL1(SimWorker& worker, std::size_t invocation, double started);
   void RunL2(SimWorker& worker, std::size_t invocation, double started);
+  /// Invocation against a warm instance slot of its library.
   void RunL3(SimWorker& worker, std::size_t invocation, double started);
-  /// L3 helpers: claim a library slot (or deploy/wait), then execute.
-  void ServeL3(std::size_t worker_index, std::uint64_t generation,
-               std::size_t invocation, double started);
-  void RunL3Invocation(std::size_t worker_index, std::uint64_t generation,
-                       std::size_t invocation, double started);
-  void DrainLibraryWaiters(SimWorker& worker);
 
   // --- environment distribution (spanning tree, §3.3) ---
   /// `trace` is the requesting invocation's context; if this call starts
@@ -405,12 +387,11 @@ class VineSim {
   std::unique_ptr<SerialServer> manager_;
 
   std::vector<SimWorker> workers_;
-  std::deque<std::size_t> pending_;  // invocation indices awaiting dispatch
-  /// Affinity mode: per-library FIFO queues (mirrors the manager's
-  /// per-library PendingCall queues).
+  std::deque<std::size_t> pending_;  // L1/L2 tasks awaiting dispatch
+  /// L3: per-library FIFO queues (mirrors the manager's per-library
+  /// PendingCall queues).
   std::map<std::size_t, std::deque<std::size_t>> lib_pending_;
   core::AffinityIndex affinity_;
-  bool multi_library_ = false;  // any InvocationSpec names library != 0
   std::size_t rr_cursor_ = 0;
   bool done_ = false;  // all invocations completed: stop churn chains
 

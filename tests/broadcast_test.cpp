@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "storage/broadcast.hpp"
@@ -122,6 +123,14 @@ struct PlanCase {
   unsigned fanout;
   std::size_t clusters;
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included, so
+// a case's name could change from build to build.  Kept short: the name
+// becomes part of each ctest name.
+void PrintTo(const PlanCase& c, std::ostream* os) {
+  *os << BroadcastModeName(c.mode) << " w=" << c.workers << " f=" << c.fanout
+      << " c=" << c.clusters;
+}
 
 class BroadcastProperty : public ::testing::TestWithParam<PlanCase> {};
 

@@ -154,11 +154,6 @@ TEST(DecideAutoscaleTest, QueueHighKeepsOneDeployInFlight) {
   EXPECT_EQ(DecideAutoscale(config, signal), AutoscaleAction::kHold);
 }
 
-TEST(SchedulerConfigTest, PolicyNames) {
-  EXPECT_EQ(SchedulerPolicyName(SchedulerPolicy::kAffinity), "affinity");
-  EXPECT_EQ(SchedulerPolicyName(SchedulerPolicy::kFirstFit), "first_fit");
-}
-
 // ---------------------------------------------------------------------------
 // Runtime-vs-DES mirror: the same demand trajectory drives the same deploy
 // decisions in both backends.
@@ -174,7 +169,6 @@ TEST(SchedulerMirrorTest, SimDeploysMirrorRuntimeSpread) {
   sim::SimConfig config;
   config.level = ReuseLevel::kL3;
   config.cluster.num_workers = 3;
-  config.scheduler.policy = SchedulerPolicy::kAffinity;
 
   static const sim::WorkloadCosts costs = sim::LnniCosts(16);
   // One slot per worker: cores_per_worker == cores_per_invocation.
@@ -200,7 +194,6 @@ TEST(SchedulerMirrorTest, SimHoldsAtStealThresholdLikeRuntime) {
   sim::SimConfig config;
   config.level = ReuseLevel::kL3;
   config.cluster.num_workers = 3;
-  config.scheduler.policy = SchedulerPolicy::kAffinity;
   config.scheduler.steal_threshold = 100;
 
   static const sim::WorkloadCosts costs = sim::LnniCosts(16);

@@ -4,13 +4,16 @@
 // contract for an L3 scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -473,7 +476,7 @@ std::set<std::string> SpanNames(const std::vector<SpanRecord>& spans) {
 }
 
 /// Runs a small L3 scenario in the simulator with tracing on.
-std::set<std::string> SimL3SpanNames() {
+std::vector<SpanRecord> SimL3Spans() {
   Telemetry telemetry;
   telemetry.tracer.SetEnabled(true);
   sim::SimConfig config;
@@ -481,16 +484,17 @@ std::set<std::string> SimL3SpanNames() {
   config.cluster.num_workers = 1;
   config.seed = 3;
   config.telemetry = &telemetry;
-  sim::VineSim vinesim(config,
-                       sim::BuildLnniWorkload(sim::LnniCosts(16), 4));
+  // The workload keeps a pointer to its costs: they must outlive the run.
+  const sim::WorkloadCosts costs = sim::LnniCosts(16);
+  sim::VineSim vinesim(config, sim::BuildLnniWorkload(costs, 4));
   (void)vinesim.Run();
-  return SpanNames(telemetry.tracer.Drain());
+  return telemetry.tracer.Drain();
 }
 
 /// Runs the equivalent L3 scenario on the real threaded runtime: a library
 /// with a real (tiny) poncho environment, deployed to one worker, invoked
 /// a few times.
-std::set<std::string> RuntimeL3SpanNames() {
+std::vector<SpanRecord> RuntimeL3Spans() {
   serde::FunctionRegistry registry;
   serde::FunctionDef fn;
   fn.name = "echo";
@@ -545,7 +549,13 @@ std::set<std::string> RuntimeL3SpanNames() {
   }
   manager.Stop();
   factory.Stop();
-  return SpanNames(telemetry.tracer.Drain());
+  return telemetry.tracer.Drain();
+}
+
+std::set<std::string> SimL3SpanNames() { return SpanNames(SimL3Spans()); }
+
+std::set<std::string> RuntimeL3SpanNames() {
+  return SpanNames(RuntimeL3Spans());
 }
 
 TEST(SpanContractTest, SimAndRuntimeEmitTheSameL3PhaseNames) {
@@ -557,6 +567,41 @@ TEST(SpanContractTest, SimAndRuntimeEmitTheSameL3PhaseNames) {
       "context-setup", "deserialize", "exec",     "result"};
   EXPECT_EQ(sim_names, expected);
   EXPECT_EQ(runtime_names, expected);
+}
+
+/// Fails if two spans of one trace overlap in time.  Per-file and admission
+/// spans are skipped: they sub-measure windows other spans already cover.
+void ExpectDisjointWithinTraces(const std::vector<SpanRecord>& spans) {
+  std::map<std::uint64_t, std::vector<SpanRecord>> traces;
+  for (const SpanRecord& span : spans) {
+    if (span.trace_id == 0 || span.category == "file" ||
+        span.category == "admission")
+      continue;
+    traces[span.trace_id].push_back(span);
+  }
+  ASSERT_FALSE(traces.empty());
+  for (auto& [trace_id, trace] : traces) {
+    // Zero-length spans sort ahead of a span starting at the same instant.
+    std::sort(trace.begin(), trace.end(),
+              [](const SpanRecord& a, const SpanRecord& b) {
+                return std::pair(a.start_s, a.end_s) <
+                       std::pair(b.start_s, b.end_s);
+              });
+    for (std::size_t i = 1; i < trace.size(); ++i) {
+      EXPECT_GE(trace[i].start_s, trace[i - 1].end_s)
+          << "trace " << trace_id << ": " << trace[i].name << " starts inside "
+          << trace[i - 1].name;
+    }
+  }
+}
+
+TEST(SpanContractTest, L3SpansWithinATraceAreDisjoint) {
+  // The blame report attributes each instant of a trace once while phase
+  // aggregation sums durations; the two agree only if spans do not nest.
+  // The call that triggers a library install waits through it, so its
+  // dispatch span must start when the instance is ready.
+  ExpectDisjointWithinTraces(SimL3Spans());
+  ExpectDisjointWithinTraces(RuntimeL3Spans());
 }
 
 }  // namespace
