@@ -1,5 +1,5 @@
-// BlobRef: a content-addressed reference to a result payload that stayed on
-// the worker that produced it.
+// BlobRef: a reference to a result payload that stayed on the worker that
+// produced it, named by a producer-assigned id (hash::ContentId::Assigned).
 //
 // The pass-by-reference data plane (ProxyStore's proxy pattern, DFlow's
 // worker-to-worker DAG edges) lets an invocation return a BlobRef instead of

@@ -1,10 +1,32 @@
 #include "core/library_runtime.hpp"
 
+#include <atomic>
 #include <chrono>
+#include <random>
 
 #include "common/log.hpp"
 
 namespace vinelet::core {
+namespace {
+
+/// Ref ids are assigned, not hashed: (producer worker, incarnation of this
+/// process, process-wide sequence).  The sequence alone keeps the ids of
+/// workers sharing a process apart; the incarnation keeps a restarted
+/// worker that reuses its endpoint id from reissuing an old id.
+hash::ContentId NextRefId(WorkerId producer) {
+  static const std::uint64_t incarnation = [] {
+    std::random_device device;
+    return (static_cast<std::uint64_t>(device()) << 32) ^ device() ^
+           static_cast<std::uint64_t>(
+               std::chrono::steady_clock::now().time_since_epoch().count());
+  }();
+  static std::atomic<std::uint64_t> sequence{0};
+  return hash::ContentId::Assigned(
+      producer, incarnation,
+      sequence.fetch_add(1, std::memory_order_relaxed) + 1);
+}
+
+}  // namespace
 
 LibraryRuntime::LibraryRuntime(LibrarySpec spec, LibraryInstanceId instance_id,
                                storage::ContentStore* store,
@@ -193,6 +215,7 @@ Status LibraryRuntime::Setup(TimingBreakdown& timing) {
 InvocationDoneMsg LibraryRuntime::RunOne(const RunInvocationMsg& msg) {
   InvocationDoneMsg done;
   done.id = msg.id;
+  done.instance_id = instance_id_;
   done.trace = msg.trace;  // ride the trace back even if this side is untraced
   const double phase_start_s =
       telemetry_ != nullptr ? telemetry_->tracer.Now() : 0.0;
@@ -272,7 +295,7 @@ InvocationDoneMsg LibraryRuntime::RunOne(const RunInvocationMsg& msg) {
     // downstream consumer fetches them peer-to-peer.  If the store rejects
     // the payload the result simply ships by value — refs are an
     // optimization, never a correctness dependency.
-    const hash::ContentId ref_id = hash::ContentId::Of(done.result);
+    const hash::ContentId ref_id = NextRefId(ref_worker_);
     if (store_->PutTrusted(ref_id, done.result).ok()) {
       (void)store_->Pin(ref_id);
       if (refs_held_ != nullptr)

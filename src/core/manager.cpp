@@ -577,32 +577,52 @@ void Manager::HandleFrame(const net::Frame& frame) {
                                 static_cast<double>(instance.context_memory)));
           for (auto& [_, call] : instance.running) RequeueCall(std::move(call));
         } else if constexpr (std::is_same_v<T, InvocationDoneMsg>) {
-          // Locate the owning instance through its running set.
-          for (auto& [_, instance] : instances_) {
-            auto call_it = instance.running.find(msg.id);
-            if (call_it == instance.running.end()) continue;
-            PendingCall call = std::move(call_it->second);
-            instance.running.erase(call_it);
-            if (instance.slots_in_use > 0) --instance.slots_in_use;
-            ++instance.served;
-            // Feed the rolling latency window behind straggler detection.
-            auto lat_it = workers_.find(instance.worker);
-            if (lat_it != workers_.end()) {
-              auto& window = lat_it->second.invocation_latency_s;
-              window.push_back(Now() - call.queued_s);
-              if (window.size() > kLatencyWindow) window.pop_front();
-            }
-            if (msg.ok && msg.ref.valid()) {
-              // Pass-by-reference result: the payload stayed in the producing
-              // worker's store.  Record placement and resolve the future with
-              // the wrapped ref — the bytes never transit the manager.
-              SettleCallRefs(call);
-              refs_[msg.ref.id].size = msg.ref.size;
-              replicas_.AddReplica(msg.ref.id, instance.worker);
+          // The reply names its instance; a call that is no longer running
+          // there (a late duplicate, or a reply from before a requeue) is
+          // stale and ignored.
+          auto instance_it = instances_.find(msg.instance_id);
+          if (instance_it == instances_.end()) return;
+          InstanceInfo& instance = instance_it->second;
+          auto call_it = instance.running.find(msg.id);
+          if (call_it == instance.running.end()) return;
+          PendingCall call = std::move(call_it->second);
+          instance.running.erase(call_it);
+          if (instance.slots_in_use > 0) --instance.slots_in_use;
+          ++instance.served;
+          // Feed the rolling latency window behind straggler detection.
+          auto lat_it = workers_.find(instance.worker);
+          if (lat_it != workers_.end()) {
+            auto& window = lat_it->second.invocation_latency_s;
+            window.push_back(Now() - call.queued_s);
+            if (window.size() > kLatencyWindow) window.pop_front();
+          }
+          if (msg.ok && msg.ref.valid()) {
+            // Pass-by-reference result: the payload stayed in the producing
+            // worker's store.  Record placement and resolve the future with
+            // the wrapped ref — the bytes never transit the manager.
+            SettleCallRefs(call);
+            refs_[msg.ref.id].size = msg.ref.size;
+            replicas_.AddReplica(msg.ref.id, instance.worker);
+            const double received_s = Now();
+            m_.invocations_completed->Add();
+            m_.ref_results->Add();
+            m_.ref_result_bytes->Add(msg.ref.size);
+            m_.invocation_roundtrip_s->Observe(Now() - call.submitted_s);
+            slo_monitor_.Record(instance.library, Now() - call.submitted_s,
+                                /*ok=*/true, Now());
+            telemetry_->tracer.EmitLinked(
+                msg.trace.valid() ? msg.trace : call.trace,
+                telemetry::Phase::kResult, "invocation", "manager", msg.id,
+                received_s, Now());
+            call.future->Resolve(
+                Outcome{WrapRef(msg.ref), msg.timing, instance.worker});
+            FinishOne();
+          } else if (msg.ok) {
+            auto value = serde::Value::FromBlob(msg.result);
+            if (value.ok()) {
               const double received_s = Now();
+              // As with tasks: record before resolving the future.
               m_.invocations_completed->Add();
-              m_.ref_results->Add();
-              m_.ref_result_bytes->Add(msg.ref.size);
               m_.invocation_roundtrip_s->Observe(Now() - call.submitted_s);
               slo_monitor_.Record(instance.library, Now() - call.submitted_s,
                                   /*ok=*/true, Now());
@@ -610,49 +630,31 @@ void Manager::HandleFrame(const net::Frame& frame) {
                   msg.trace.valid() ? msg.trace : call.trace,
                   telemetry::Phase::kResult, "invocation", "manager", msg.id,
                   received_s, Now());
+              SettleCallRefs(call);
               call.future->Resolve(
-                  Outcome{WrapRef(msg.ref), msg.timing, instance.worker});
+                  Outcome{std::move(*value), msg.timing, instance.worker});
               FinishOne();
-            } else if (msg.ok) {
-              auto value = serde::Value::FromBlob(msg.result);
-              if (value.ok()) {
-                const double received_s = Now();
-                // As with tasks: record before resolving the future.
-                m_.invocations_completed->Add();
-                m_.invocation_roundtrip_s->Observe(Now() - call.submitted_s);
-                slo_monitor_.Record(instance.library, Now() - call.submitted_s,
-                                    /*ok=*/true, Now());
-                telemetry_->tracer.EmitLinked(
-                    msg.trace.valid() ? msg.trace : call.trace,
-                    telemetry::Phase::kResult, "invocation", "manager", msg.id,
-                    received_s, Now());
-                SettleCallRefs(call);
-                call.future->Resolve(
-                    Outcome{std::move(*value), msg.timing, instance.worker});
-                FinishOne();
-              } else {
-                slo_monitor_.Record(instance.library, Now() - call.submitted_s,
-                                    /*ok=*/false, Now());
-                SettleCallRefs(call);
-                call.future->Resolve(value.status());
-                FinishOne();
-              }
-            } else if (++call.attempts < config_.max_attempts) {
-              m_.retries->Add();
-              telemetry_->flight.Record("call-retry", msg.error,
-                                        call.trace.trace_id, msg.id,
-                                        instance.worker);
-              RequeueCall(std::move(call));
             } else {
               slo_monitor_.Record(instance.library, Now() - call.submitted_s,
                                   /*ok=*/false, Now());
               SettleCallRefs(call);
-              call.future->Resolve(InternalError(msg.error));
+              call.future->Resolve(value.status());
               FinishOne();
             }
-            FeedInstance(instance);
-            return;
+          } else if (++call.attempts < config_.max_attempts) {
+            m_.retries->Add();
+            telemetry_->flight.Record("call-retry", msg.error,
+                                      call.trace.trace_id, msg.id,
+                                      instance.worker);
+            RequeueCall(std::move(call));
+          } else {
+            slo_monitor_.Record(instance.library, Now() - call.submitted_s,
+                                /*ok=*/false, Now());
+            SettleCallRefs(call);
+            call.future->Resolve(InternalError(msg.error));
+            FinishOne();
           }
+          FeedInstance(instance);
         } else if constexpr (std::is_same_v<T, BlobDataMsg>) {
           HandleManagerBlobData(std::move(msg));  // FetchRef materialization
         } else if constexpr (std::is_same_v<T, StatusReplyMsg>) {
@@ -740,8 +742,9 @@ void Manager::HandleCommand(Command command) {
       std::move(command));
 }
 
-Status Manager::SendTo(WorkerId worker, const Message& message) {
-  WireFrame wire = EncodeFrame(message);
+Status Manager::SendTo(WorkerId worker, const Message& message,
+                       std::optional<std::uint32_t> attachment_crc) {
+  WireFrame wire = EncodeFrame(message, attachment_crc);
   Status status =
       network_->Send(net::kManagerEndpoint, worker, std::move(wire.payload),
                      std::move(wire.attachment));

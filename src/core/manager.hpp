@@ -559,7 +559,9 @@ class Manager {
   void HandleStatusReply(WorkerId worker, const StatusReplyMsg& msg);
   void FinalizeStatusQuery();
 
-  Status SendTo(WorkerId worker, const Message& message);
+  /// `attachment_crc`: as for EncodeFrame.
+  Status SendTo(WorkerId worker, const Message& message,
+                std::optional<std::uint32_t> attachment_crc = {});
 
   /// Time on the shared telemetry clock (span and queue-wait time base).
   double Now() const { return telemetry_->clock.Now(); }

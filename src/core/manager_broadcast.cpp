@@ -7,6 +7,7 @@
 #include <chrono>
 
 #include "common/log.hpp"
+#include "hash/crc32c.hpp"
 
 namespace vinelet::core {
 
@@ -238,6 +239,8 @@ void Manager::StartBroadcast(BroadcastCmd cmd) {
     Blob slice = payload->Slice(
         static_cast<std::size_t>(k * state.chunk_bytes),
         static_cast<std::size_t>(state.chunk_bytes));
+    // One checksum pass per chunk, shared by every root's frame.
+    const std::uint32_t chunk_crc = hash::Crc32c::Of(slice.span());
     for (std::size_t r = 0; r < state.plan.roots.size(); ++r) {
       PutChunkMsg msg;
       msg.decl = state.decl;
@@ -248,7 +251,7 @@ void Manager::StartBroadcast(BroadcastCmd cmd) {
       msg.chunk = slice;
       msg.trace = state.trace;
       (void)SendTo(state.order[static_cast<std::size_t>(state.plan.roots[r])],
-                   msg);
+                   msg, chunk_crc);
     }
   }
   for (std::size_t r = 0; r < state.plan.roots.size(); ++r) {

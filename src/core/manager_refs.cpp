@@ -112,7 +112,9 @@ bool Manager::AdvanceManagerFetch(ManagerFetch& fetch) {
 void Manager::HandleManagerBlobData(BlobDataMsg msg) {
   auto it = manager_fetches_.find(msg.id);
   if (it == manager_fetches_.end()) return;  // stale reply (already resolved)
-  if (msg.ok && hash::ContentId::Of(msg.payload) == msg.id) {
+  // A payload that failed its frame CRC arrives as a miss (DecodeFrame), so
+  // ok means intact: a ref id names its producer and has nothing to hash.
+  if (msg.ok) {
     // Cache at the manager so repeated FetchRef calls are free; dropped
     // again when the ref is released.
     (void)manager_store_.PutTrusted(msg.id, msg.payload);
@@ -121,7 +123,7 @@ void Manager::HandleManagerBlobData(BlobDataMsg msg) {
     manager_fetches_.erase(it);
     return;
   }
-  // Miss or corrupt copy: try the next holder; out of holders = data loss.
+  // Miss or damaged copy: try the next holder; out of holders = data loss.
   if (!AdvanceManagerFetch(it->second)) {
     for (auto& waiter : it->second.waiters)
       waiter->set_value(DataLossError(

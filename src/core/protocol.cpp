@@ -1,5 +1,6 @@
 #include "core/protocol.hpp"
 
+#include "hash/crc32c.hpp"
 #include "serde/archive.hpp"
 
 namespace vinelet::core {
@@ -399,6 +400,7 @@ struct Encoder {
   void operator()(const InvocationDoneMsg& m) {
     w.WriteU8(static_cast<std::uint8_t>(Tag::kInvocationDone));
     w.WriteU64(m.id);
+    w.WriteU64(m.instance_id);
     w.WriteBool(m.ok);
     WriteBulk(m.result);
     WriteBlobRef(w, m.ref);
@@ -678,6 +680,9 @@ Result<Message> DecodeInvocationDone(ArchiveReader& r,
   auto id = r.ReadU64();
   if (!id.ok()) return id.status();
   m.id = *id;
+  auto instance = r.ReadU64();
+  if (!instance.ok()) return instance.status();
+  m.instance_id = *instance;
   auto ok = r.ReadBool();
   if (!ok.ok()) return ok.status();
   m.ok = *ok;
@@ -915,18 +920,63 @@ Result<Message> DecodeMessage(const Blob& blob) {
   return DecodeImpl(blob, nullptr);
 }
 
-WireFrame EncodeFrame(const Message& message) {
+WireFrame EncodeFrame(const Message& message,
+                      std::optional<std::uint32_t> attachment_crc) {
   WireFrame frame;
   Encoder encoder;
   encoder.attachment_out = &frame.attachment;
   std::visit(encoder, message);
-  frame.payload = std::move(encoder.w).ToBlob();
+  ArchiveWriter& w = encoder.w;
+  w.WriteU32(attachment_crc ? *attachment_crc
+                            : hash::Crc32c::Of(frame.attachment.span()));
+  w.WriteU32(hash::Crc32c::Of(w.buffer().span()));
+  frame.payload = std::move(w).ToBlob();
   return frame;
 }
 
+namespace {
+
+/// Trailer word `index` (0 = attachment CRC, 1 = header CRC) of a payload
+/// at least kFrameTrailerBytes long.
+std::uint32_t TrailerWord(const Blob& payload, std::size_t index) {
+  const auto word = payload.span().subspan(
+      payload.size() - kFrameTrailerBytes + 4 * index, 4);
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | word[i];
+  return v;
+}
+
+}  // namespace
+
 Result<Message> DecodeFrame(const net::Frame& frame) {
-  return DecodeImpl(frame.payload,
-                    frame.attachment.empty() ? nullptr : &frame.attachment);
+  const Blob& payload = frame.payload;
+  if (payload.size() < kFrameTrailerBytes)
+    return DataLossError("frame shorter than its checksum trailer");
+  const std::size_t body = payload.size() - kFrameTrailerBytes;
+  if (hash::Crc32c::Of(payload.span().first(body + 4)) !=
+      TrailerWord(payload, 1))
+    return DataLossError("frame header checksum mismatch");
+  const bool attachment_ok =
+      hash::Crc32c::Of(frame.attachment.span()) == TrailerWord(payload, 0);
+  auto message =
+      DecodeImpl(payload.Slice(0, body),
+                 frame.attachment.empty() ? nullptr : &frame.attachment);
+  if (!message.ok() || attachment_ok) return message;
+  // The header is intact, so the damage is confined to the bulk bytes.  A
+  // fetched ref payload becomes a replica miss, which the fetching worker
+  // already answers by failing the parked calls so the manager retries
+  // them; any other damaged attachment loses the whole frame.
+  if (auto* data = std::get_if<BlobDataMsg>(&*message)) {
+    data->ok = false;
+    data->payload = Blob();
+    data->error = "attachment checksum mismatch";
+    return message;
+  }
+  return DataLossError("frame attachment checksum mismatch");
+}
+
+std::uint32_t FrameAttachmentCrc(const net::Frame& frame) {
+  return TrailerWord(frame.payload, 0);
 }
 
 }  // namespace vinelet::core

@@ -8,7 +8,9 @@
 // RunInvocation, RemoveLibrary — §3.4/§3.5).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -207,6 +209,10 @@ struct LibraryRemovedMsg {
 
 struct InvocationDoneMsg {
   InvocationId id = 0;
+  /// Echo of the RunInvocationMsg's instance, so the manager finds the
+  /// call's slot directly.  Set on every reply, including the failures a
+  /// worker reports on its own (fetch, missing instance).
+  LibraryInstanceId instance_id = 0;
   bool ok = false;
   /// Inline result bytes.  Sent via EncodeFrame the blob rides as the frame
   /// attachment, so even by-value results cross the manager's inbox as a
@@ -227,7 +233,7 @@ struct GoodbyeMsg {};
 // Peer-to-peer ref data plane (worker ↔ worker, manager-mediated recovery).
 // ---------------------------------------------------------------------------
 
-/// Worker → worker: ask a replica holder for a content-addressed payload.
+/// Worker → worker: ask a replica holder for a ref payload.
 /// The requester is the frame's sender; `tag` is an opaque correlation id
 /// echoed on the BlobDataMsg so a requester can match replies to fetches.
 struct FetchBlobMsg {
@@ -306,10 +312,11 @@ using Message =
                  FetchBlobMsg, BlobDataMsg, DropBlobMsg, CancelFetchMsg>;
 
 /// Serializes a message to a single self-contained blob (bulk payloads
-/// inline).  Kept for tests and for contexts without a Frame.
+/// inline, no checksum): the raw codec that tests and offline tools use.
+/// Everything the runtime sends goes through EncodeFrame instead.
 Blob EncodeMessage(const Message& message);
 
-/// Parses a self-contained framed blob; kDataLoss on any malformed input.
+/// Parses a self-contained blob; kDataLoss on any malformed input.
 Result<Message> DecodeMessage(const Blob& blob);
 
 /// A message encoded for the wire: a small header payload plus an optional
@@ -321,10 +328,26 @@ struct WireFrame {
   Blob attachment;
 };
 
-WireFrame EncodeFrame(const Message& message);
+/// The payload ends in a trailer of two little-endian CRC-32Cs: one of the
+/// attachment, then one of everything before it (the encoded message and
+/// the attachment CRC).  Both transports carry it unchanged, so every frame
+/// is checked end to end whichever way it travels.
+inline constexpr std::size_t kFrameTrailerBytes = 8;
 
-/// Decodes a received frame, reattaching the bulk payload zero-copy.
-/// Accepts both wire forms: attachment-borne bulk and inline-encoded blobs.
+/// `attachment_crc`, when set, must be the CRC-32C of the attachment the
+/// message carries: a relay forwarding bytes it received intact passes the
+/// value their trailer held (FrameAttachmentCrc) instead of a second pass.
+WireFrame EncodeFrame(const Message& message,
+                      std::optional<std::uint32_t> attachment_crc = {});
+
+/// Verifies the trailer and decodes a received frame, reattaching the bulk
+/// payload zero-copy.  kDataLoss when the header fails its checksum or does
+/// not parse, or when the attachment fails its checksum — except for a
+/// BlobDataMsg, which decodes as a miss (ok = false, no payload) so the
+/// fetch fails over like any other miss.
 Result<Message> DecodeFrame(const net::Frame& frame);
+
+/// The attachment CRC in the trailer of a frame DecodeFrame accepted.
+std::uint32_t FrameAttachmentCrc(const net::Frame& frame);
 
 }  // namespace vinelet::core

@@ -113,7 +113,7 @@ void Worker::Handle(net::Frame frame) {
         } else if constexpr (std::is_same_v<T, PushFileMsg>) {
           HandlePushFile(msg);
         } else if constexpr (std::is_same_v<T, PutChunkMsg>) {
-          HandlePutChunk(std::move(msg));
+          HandlePutChunk(std::move(msg), FrameAttachmentCrc(frame));
         } else if constexpr (std::is_same_v<T, ExecuteTaskMsg>) {
           HandleExecuteTask(std::move(msg), decode_s);
         } else if constexpr (std::is_same_v<T, InstallLibraryMsg>) {
@@ -194,7 +194,7 @@ void Worker::HandlePushFile(const PushFileMsg& msg) {
   }
 }
 
-void Worker::HandlePutChunk(PutChunkMsg msg) {
+void Worker::HandlePutChunk(PutChunkMsg msg, std::uint32_t chunk_crc) {
   const double arrived_s = telemetry_->tracer.Now();
   // This hop's receive span is pre-allocated so forwarded chunks can name it
   // as their parent before it is emitted — the trace mirrors the relay tree.
@@ -215,7 +215,7 @@ void Worker::HandlePutChunk(PutChunkMsg msg) {
     forward.children = child.children;
     forward.chunk = msg.chunk;  // shared payload
     forward.trace = hop_ctx;
-    WireFrame wire = EncodeFrame(forward);
+    WireFrame wire = EncodeFrame(forward, chunk_crc);
     Status sent = network_->Send(config_.id, child.dest,
                                  std::move(wire.payload),
                                  std::move(wire.attachment));
@@ -573,6 +573,7 @@ void Worker::HandleRunInvocationBatch(RunInvocationBatchMsg msg) {
   for (InvocationId id : failed) {
     InvocationDoneMsg done;
     done.id = id;
+    done.instance_id = msg.instance_id;
     done.ok = false;
     done.error = "library instance not present on worker";
     SendToManager(std::move(done));
@@ -581,6 +582,7 @@ void Worker::HandleRunInvocationBatch(RunInvocationBatchMsg msg) {
 
 void Worker::SubmitReady(RunInvocationMsg msg) {
   const InvocationId id = msg.id;
+  const LibraryInstanceId instance_id = msg.instance_id;
   bool submitted = false;
   {
     std::lock_guard<std::mutex> lock(libraries_mu_);
@@ -590,6 +592,7 @@ void Worker::SubmitReady(RunInvocationMsg msg) {
   if (!submitted) {
     InvocationDoneMsg done;
     done.id = id;
+    done.instance_id = instance_id;
     done.ok = false;
     done.error = "library instance not present on worker";
     SendToManager(std::move(done));
@@ -645,9 +648,10 @@ void Worker::FailFetch(const hash::ContentId& id, const std::string& error) {
   for (InvocationId waiter : waiters) {
     auto parked_it = parked_.find(waiter);
     if (parked_it == parked_.end()) continue;
-    parked_.erase(parked_it);
     InvocationDoneMsg done;
     done.id = waiter;
+    done.instance_id = parked_it->second.msg.instance_id;
+    parked_.erase(parked_it);
     done.ok = false;
     done.error = "ref fetch failed: " + error;
     SendToManager(std::move(done));
@@ -682,10 +686,11 @@ void Worker::HandleBlobData(BlobDataMsg msg) {
     FailFetch(msg.id, msg.error.empty() ? "replica miss" : msg.error);
     return;
   }
-  // Verified admission: a corrupted transfer fails the hash check here and
-  // the parked invocations requeue against another replica.
+  // A ref id names its producer, not its bytes, so there is nothing to
+  // hash: the frame CRC already vouched for the payload (a damaged one
+  // arrives as a miss and took the FailFetch path above).
   const std::uint64_t size = msg.payload.size();
-  Status stored = store_.Put(msg.id, std::move(msg.payload));
+  Status stored = store_.PutTrusted(msg.id, std::move(msg.payload));
   if (!stored.ok()) {
     FailFetch(msg.id, stored.ToString());
     return;

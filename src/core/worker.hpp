@@ -79,7 +79,8 @@ class Worker {
   void Handle(net::Frame frame);
   void HandlePutFile(PutFileMsg msg);
   void HandlePushFile(const PushFileMsg& msg);
-  void HandlePutChunk(PutChunkMsg msg);
+  /// `chunk_crc` is the verified CRC of the chunk, reused when relaying it.
+  void HandlePutChunk(PutChunkMsg msg, std::uint32_t chunk_crc);
   void HandleExecuteTask(ExecuteTaskMsg msg, double decode_s);
   void HandleInstallLibrary(InstallLibraryMsg msg, double decode_s);
   void HandleRemoveLibrary(const RemoveLibraryMsg& msg);
@@ -154,7 +155,7 @@ class Worker {
   };
   std::map<InvocationId, ParkedInvocation> parked_;
 
-  /// One in-flight peer fetch, keyed by content id so concurrent consumers
+  /// One in-flight peer fetch, keyed by ref id so concurrent consumers
   /// of the same ref share a single FetchBlob round trip.  Inbox-thread
   /// only.
   struct FetchState {

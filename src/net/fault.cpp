@@ -21,6 +21,10 @@ std::uint64_t LinkKey(EndpointId from, EndpointId to) {
   return Mix((from << 32) ^ to);
 }
 
+// The bit CorruptNext flips (CorruptCopy reduces it modulo the frame's bit
+// count, so it lands at a size-dependent, reproducible position).
+constexpr std::uint64_t kForcedCorruptBit = 0x9E3779B97F4A7C15ull;
+
 // Worker hooks draw from per-(worker, hook) streams so a setup-failure draw
 // never perturbs the invocation-failure stream of the same worker.
 enum WorkerHook : std::uint64_t {
@@ -54,11 +58,28 @@ void FaultInjector::RecordFault(const char* tag, EndpointId from,
 
 SendDecision FaultInjector::OnSend(EndpointId from, EndpointId to) {
   SendDecision decision;
-  if (LinkBlocked(from, to)) {
+  const std::uint64_t key = LinkKey(from, to);
+  bool blocked = false, forced_corrupt = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    blocked = blocked_links_.contains(key);
+    auto it = corrupt_next_.find(key);
+    if (!blocked && it != corrupt_next_.end()) {
+      forced_corrupt = true;
+      if (--it->second == 0) corrupt_next_.erase(it);
+    }
+  }
+  if (blocked) {
     counters_.blocked.fetch_add(1, std::memory_order_relaxed);
     RecordFault("inj-block", from, to);
     decision.drop = true;
     return decision;
+  }
+  if (forced_corrupt) {
+    counters_.corrupted.fetch_add(1, std::memory_order_relaxed);
+    RecordFault("inj-corrupt", from, to);
+    decision.corrupt = true;
+    decision.corrupt_bit = kForcedCorruptBit;
   }
   const LinkFaults& link = plan_.link;
   if (link.drop_p == 0.0 && link.dup_p == 0.0 && link.corrupt_p == 0.0 &&
@@ -89,7 +110,7 @@ SendDecision FaultInjector::OnSend(EndpointId from, EndpointId to) {
     RecordFault("inj-dup", from, to);
     decision.copies = 2;
   }
-  if (corrupt_draw < link.corrupt_p) {
+  if (corrupt_draw < link.corrupt_p && !decision.corrupt) {
     counters_.corrupted.fetch_add(1, std::memory_order_relaxed);
     RecordFault("inj-corrupt", from, to);
     decision.corrupt = true;
@@ -111,6 +132,15 @@ void FaultInjector::BlockLink(EndpointId from, EndpointId to, bool blocked) {
     blocked_links_.insert(LinkKey(from, to));
   else
     blocked_links_.erase(LinkKey(from, to));
+}
+
+void FaultInjector::CorruptNext(EndpointId from, EndpointId to,
+                                std::uint64_t frames) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (frames == 0)
+    corrupt_next_.erase(LinkKey(from, to));
+  else
+    corrupt_next_[LinkKey(from, to)] = frames;
 }
 
 void FaultInjector::Partition(EndpointId a, EndpointId b, bool partitioned) {

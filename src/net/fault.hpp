@@ -128,6 +128,10 @@ class FaultInjector {
   /// Symmetric partition between two endpoints.
   void Partition(EndpointId a, EndpointId b, bool partitioned);
   bool LinkBlocked(EndpointId from, EndpointId to) const;
+  /// Explicit one-shot corruption (deterministic, not random): the next
+  /// `frames` sends on from→to each get one bit flipped, in the attachment
+  /// when the frame has one.  0 cancels what is left.
+  void CorruptNext(EndpointId from, EndpointId to, std::uint64_t frames);
 
   /// Worker-side hooks: each draws from the worker's own stream.
   bool InjectSetupFailure(EndpointId worker);
@@ -162,6 +166,7 @@ class FaultInjector {
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Rng> streams_;
   std::unordered_set<std::uint64_t> blocked_links_;
+  std::unordered_map<std::uint64_t, std::uint64_t> corrupt_next_;  // link → frames
   Counters counters_;
   std::atomic<telemetry::FlightRecorder*> flight_{nullptr};
 };

@@ -28,8 +28,8 @@ class ContentStore {
   /// identical content.
   Status Put(const hash::ContentId& id, Blob blob);
 
-  /// Stores without verification — used for locally-generated blobs whose
-  /// id was just computed by the caller.
+  /// Stores without verification — for blobs whose id is not a content
+  /// hash (producer-assigned ref ids) or was just computed by the caller.
   Status PutTrusted(const hash::ContentId& id, Blob blob);
 
   /// Fetches a blob, refreshing recency.  kNotFound on miss.

@@ -13,7 +13,8 @@
 //    waves under duplicates, delays, injected worker-side failures,
 //    stragglers and worker churn, asserting that every future resolves
 //    exactly once, every scheduler structure drains, gauges match their
-//    true values, and every cached blob still hash-verifies.
+//    true values, and every cached blob is intact (content-addressed blobs
+//    hash to their id; ref replicas equal their producer's copy).
 //
 // Soak plans deliberately keep drop_p = corrupt_p = 0: a dropped control
 // frame has no ack/retransmit layer below the manager's probe paths, so a
@@ -23,6 +24,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -300,9 +302,13 @@ class ChaosTest : public ::testing::Test {
     }
   }
 
-  /// Every blob every worker retained must still match its content hash —
-  /// injected corruption/duplication must never reach a cache unverified.
+  /// Every blob every worker retained must still be intact — injected
+  /// corruption/duplication must never reach a cache unverified.  A content
+  /// id must still hash to its bytes.  An assigned (ref result) id names its
+  /// producer, not its bytes, so every replica must be byte-identical to
+  /// the producer's copy — or, once the producer is gone, to each other.
   void VerifyWorkerStores() {
+    std::map<hash::ContentId, std::vector<std::pair<WorkerId, Blob>>> refs;
     for (WorkerId id : factory_->WorkerIds()) {
       Worker* worker = factory_->GetWorker(id);
       ASSERT_NE(worker, nullptr);
@@ -311,9 +317,22 @@ class ChaosTest : public ::testing::Test {
         ASSERT_TRUE(blob.ok())
             << "worker " << id << " lost a listed blob: "
             << blob.status().ToString();
+        if (entry.id.IsAssigned()) {
+          refs[entry.id].emplace_back(id, std::move(*blob));
+          continue;
+        }
         EXPECT_EQ(hash::ContentId::Of(*blob), entry.id)
             << "worker " << id << " retains a corrupted blob";
       }
+    }
+    for (const auto& [ref_id, copies] : refs) {
+      const Blob* reference = &copies.front().second;
+      for (const auto& [holder, blob] : copies)
+        if (holder == ref_id.AssignedProducer()) reference = &blob;
+      for (const auto& [holder, blob] : copies)
+        EXPECT_EQ(blob, *reference)
+            << "worker " << holder << " holds a replica of ref "
+            << ref_id.ShortHex() << " that differs from the reference copy";
     }
   }
 
@@ -415,6 +434,23 @@ class ChaosTest : public ::testing::Test {
                    payload.AsString()[0]);
     };
     ASSERT_TRUE(registry_->RegisterFunction(probe_payload).ok());
+
+    // Consumer that reads every byte: the sum of a materialized ref
+    // payload, which any flipped bit would change.
+    serde::FunctionDef sum_payload;
+    sum_payload.name = "sum_payload";
+    sum_payload.setup_name = "number_setup";
+    sum_payload.fn = [](const Value& args,
+                        const InvocationEnv&) -> Result<Value> {
+      if (args.type() != Value::Type::kList || args.AsList().empty() ||
+          args.AsList()[0].type() != Value::Type::kString)
+        return InvalidArgumentError("sum_payload expects [payload]");
+      std::int64_t sum = 0;
+      for (char c : args.AsList()[0].AsString())
+        sum += static_cast<unsigned char>(c);
+      return Value(sum);
+    };
+    ASSERT_TRUE(registry_->RegisterFunction(sum_payload).ok());
 
     serde::FunctionDef use_context;
     use_context.name = "use_context";
@@ -811,6 +847,9 @@ TEST_F(ChaosTest, RefDataPlaneSoakSurvivesReplicaOwnerKills) {
     }
     ASSERT_GE(holders().size(), 2u) << "payload never replicated off owner";
 
+    // Every replica made so far matches the producer's copy byte for byte.
+    VerifyWorkerStores();
+
     // Data-plane introspection counters saw the traffic.
     {
       auto status = manager_->QueryStatus();
@@ -864,6 +903,61 @@ TEST_F(ChaosTest, RefDataPlaneSoakSurvivesReplicaOwnerKills) {
     network_.reset();
     fault_.reset();
   }
+}
+
+TEST_F(ChaosTest, DamagedRefFetchIsRetriedAndReturnsTheExactResult) {
+  // Seeded regression for the one frame that heals itself: a ref payload
+  // whose attachment is damaged on the way to a consumer.  The consumer's
+  // frame CRC turns it into a miss, the parked call fails its fetch, the
+  // manager retries it, and the retry fetches an intact copy.
+  StartCluster(2, {}, {}, Resources{32, 64 * 1024, 64 * 1024},
+               /*ref_results_min_bytes=*/64 * 1024);
+  // Whole-worker instances: the consumer library cannot share the
+  // producer's worker, so its calls must fetch the payload from a peer.
+  LibraryOptions options;
+  options.resources = Resources{32, 1024, 1024};
+  for (const auto& [library, function] :
+       {std::pair{"producer", "make_payload"},
+        std::pair{"consumer", "sum_payload"}}) {
+    auto spec = manager_->CreateLibraryFromFunctions(
+        library, {function}, "number_setup",
+        Value::Dict({{"number", Value(0)}}), nullptr, options);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
+  }
+
+  const std::int64_t kBytes = 256 * 1024;
+  auto produced = manager_
+                      ->SubmitCall("producer", "make_payload",
+                                   Value::Dict({{"bytes", Value(kBytes)},
+                                                {"fill", Value(3)}}))
+                      ->Wait();
+  ASSERT_TRUE(produced.ok()) << produced.status().ToString();
+  const auto ref = TryUnwrapRef(produced->value);
+  ASSERT_TRUE(ref.has_value()) << "large result did not ship by reference";
+  EXPECT_TRUE(ref->id.IsAssigned());
+  EXPECT_EQ(ref->id.AssignedProducer(), ref->owner);
+  const auto ids = factory_->WorkerIds();
+  ASSERT_EQ(ids.size(), 2u);
+  const WorkerId consumer = ids[0] == ref->owner ? ids[1] : ids[0];
+
+  // The next frame from the owner to the consumer is the BlobData reply.
+  fault_->CorruptNext(ref->owner, consumer, 1);
+  auto summed = manager_
+                    ->SubmitCall("consumer", "sum_payload",
+                                 Value::List({produced->value}))
+                    ->Wait();
+  ASSERT_TRUE(summed.ok()) << summed.status().ToString();
+  EXPECT_EQ(summed->worker, consumer);
+  EXPECT_EQ(summed->value.AsInt(), kBytes * ('a' + 3));
+  EXPECT_EQ(fault_->stats().corrupted, 1u);
+  EXPECT_GE(
+      manager_->telemetry().metrics.GetCounter("manager.retries").Value(), 1u);
+
+  VerifyWorkerStores();
+  ASSERT_TRUE(manager_->ReleaseRef(*ref).ok());
+  const QuiescenceReport report = WaitQuiescent();
+  EXPECT_TRUE(report.quiescent) << report.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -973,7 +1067,7 @@ TEST_F(ChaosTest, ChaosSoakDrainsCleanAcrossSeeds) {
     const QuiescenceReport report = WaitQuiescent(30.0);
     EXPECT_TRUE(report.quiescent) << report.ToString();
 
-    // Invariant 3: every retained blob still hash-verifies.
+    // Invariant 3: every retained blob is intact.
     VerifyWorkerStores();
 
     // The plan actually fired, and the flight journal shows it.

@@ -214,9 +214,12 @@ TEST(ProtocolTest, TaskDoneRoundTrip) {
 TEST(ProtocolTest, InvocationDoneErrorRoundTrip) {
   InvocationDoneMsg msg;
   msg.id = 12;
+  msg.instance_id = 4;
   msg.ok = false;
   msg.error = "function not in library";
   auto out = RoundTrip<InvocationDoneMsg>(msg);
+  EXPECT_EQ(out.id, 12u);
+  EXPECT_EQ(out.instance_id, 4u);
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.error, "function not in library");
 }
@@ -224,8 +227,9 @@ TEST(ProtocolTest, InvocationDoneErrorRoundTrip) {
 TEST(ProtocolTest, InvocationDoneRefRoundTrip) {
   InvocationDoneMsg msg;
   msg.id = 31;
+  msg.instance_id = 8;
   msg.ok = true;
-  msg.ref = BlobRef{hash::ContentId::OfText("big-result"), 1 << 20, 6};
+  msg.ref = BlobRef{hash::ContentId::Assigned(6, 0xC0FFEE, 41), 1 << 20, 6};
   msg.timing = {0.0, 0.0, 0.1, 0.2, 0.3};
   auto out = RoundTrip<InvocationDoneMsg>(msg);
   EXPECT_TRUE(out.ok);
@@ -241,6 +245,8 @@ TEST(ProtocolTest, InvocationDoneRefRoundTrip) {
   auto* framed = std::get_if<InvocationDoneMsg>(&*decoded);
   ASSERT_NE(framed, nullptr);
   EXPECT_EQ(framed->ref, msg.ref);
+  EXPECT_EQ(framed->instance_id, 8u);
+  EXPECT_TRUE(framed->ref.id.IsAssigned());
 }
 
 TEST(ProtocolTest, InvocationDoneResultRidesAsAttachment) {
@@ -467,17 +473,73 @@ TEST(ProtocolTest, EveryMessageTypeRejectsTrailingGarbage) {
   }
 }
 
+/// `blob` with byte `i` inverted, in a fresh allocation.
+Blob FlipByte(const Blob& blob, std::size_t i) {
+  std::vector<std::uint8_t> bytes(blob.span().begin(), blob.span().end());
+  bytes[i] ^= 0xFF;
+  return Blob(std::move(bytes));
+}
+
 TEST(ProtocolTest, EveryMessageSurvivesSingleByteCorruption) {
-  // Flipping any one byte must never crash or overread; the decoder either
-  // rejects the frame or produces some (different) well-formed message.
+  // Raw codec: flipping any one byte must never crash or overread; the
+  // decoder either rejects the bytes or produces some (different)
+  // well-formed message.
   for (const Message& message : testing::AllSampleMessages()) {
     const Blob full = EncodeMessage(message);
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      std::vector<std::uint8_t> bytes(full.span().begin(), full.span().end());
-      bytes[i] ^= 0xFF;
-      (void)DecodeMessage(Blob(std::move(bytes)));  // must not UB
+    for (std::size_t i = 0; i < full.size(); ++i)
+      (void)DecodeMessage(FlipByte(full, i));  // must not UB
+  }
+  // Framed: the CRC-32C trailer catches every flip, in the header payload
+  // and in the attachment alike.  The one flip that does not lose the frame
+  // is in a fetched ref payload, which decodes as a replica miss.
+  for (const Message& message : testing::AllSampleMessages()) {
+    const WireFrame wire = EncodeFrame(message);
+    for (std::size_t i = 0; i < wire.payload.size(); ++i) {
+      auto decoded =
+          DecodeFrame(net::Frame{0, FlipByte(wire.payload, i), wire.attachment});
+      ASSERT_FALSE(decoded.ok())
+          << "message index " << message.index() << " payload byte " << i;
+      EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss);
+    }
+    for (std::size_t i = 0; i < wire.attachment.size(); ++i) {
+      auto decoded = DecodeFrame(
+          net::Frame{0, wire.payload, FlipByte(wire.attachment, i)});
+      if (std::holds_alternative<BlobDataMsg>(message)) {
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        const auto& miss = std::get<BlobDataMsg>(*decoded);
+        EXPECT_FALSE(miss.ok);
+        EXPECT_TRUE(miss.payload.empty());
+        continue;
+      }
+      ASSERT_FALSE(decoded.ok())
+          << "message index " << message.index() << " attachment byte " << i;
+      EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss);
     }
   }
+}
+
+TEST(ProtocolTest, FrameTrailerGuardsTruncationAndSwappedAttachments) {
+  PutChunkMsg chunk;
+  chunk.decl = SampleDecl();
+  chunk.num_chunks = 1;
+  chunk.chunk_bytes = 5;
+  chunk.chunk = Blob::FromString("chunk");
+  const WireFrame wire = EncodeFrame(chunk);
+  ASSERT_TRUE(DecodeFrame(net::Frame{0, wire.payload, wire.attachment}).ok());
+  // Every cut of the payload, trailer included, is rejected.
+  for (std::size_t cut = 0; cut < wire.payload.size(); ++cut) {
+    EXPECT_FALSE(
+        DecodeFrame(net::Frame{0, wire.payload.Slice(0, cut), wire.attachment})
+            .ok())
+        << "cut=" << cut;
+  }
+  // A well-formed attachment from another frame, or none at all, fails the
+  // attachment checksum.
+  EXPECT_FALSE(
+      DecodeFrame(net::Frame{0, wire.payload, Blob::FromString("other")}).ok());
+  EXPECT_FALSE(DecodeFrame(net::Frame{0, wire.payload, Blob()}).ok());
+  // The raw (unchecksummed) encoding is not a frame.
+  EXPECT_FALSE(DecodeFrame(net::Frame{0, EncodeMessage(chunk), Blob()}).ok());
 }
 
 TEST(ProtocolTest, HugeBatchCountRejectedBeforeAllocation) {

@@ -70,6 +70,7 @@ inline std::vector<core::Message> AllSampleMessages() {
   all.push_back(core::LibraryRemovedMsg{9});
   core::InvocationDoneMsg inv_done;
   inv_done.id = 11;
+  inv_done.instance_id = 9;
   inv_done.ok = true;
   inv_done.result = Blob::FromString("big invocation result attachment");
   all.push_back(inv_done);

@@ -219,5 +219,34 @@ TEST(ContentIdTest, StdHashUsable) {
   EXPECT_NE(hasher(ContentId::OfText("x")), hasher(ContentId::OfText("y")));
 }
 
+TEST(ContentIdTest, AssignedIdsAreDistinctAndRecognisable) {
+  const ContentId a = ContentId::Assigned(3, 0xABCDEF, 1);
+  EXPECT_TRUE(a.IsAssigned());
+  EXPECT_FALSE(a.IsZero());
+  EXPECT_EQ(a.AssignedProducer(), 3u);
+  EXPECT_EQ(a, ContentId::Assigned(3, 0xABCDEF, 1));
+  EXPECT_EQ(ContentId::FromDigest(a.digest()), a);  // survives the wire
+  // Any field changes the id.
+  EXPECT_NE(a, ContentId::Assigned(4, 0xABCDEF, 1));
+  EXPECT_NE(a, ContentId::Assigned(3, 0xABCDEE, 1));
+  EXPECT_NE(a, ContentId::Assigned(3, 0xABCDEF, 2));
+  // Content ids are not mistaken for assigned ones.
+  EXPECT_FALSE(ContentId::OfText("abc").IsAssigned());
+  EXPECT_FALSE(ContentId().IsAssigned());
+}
+
+TEST(ContentIdTest, AssignedIdsSpreadEvenlyOverTheRing) {
+  // Sequential ids from one producer must not cluster on the hash ring
+  // (PickRefSource walks the ring from Prefix64): 4096 ids over 16 equal
+  // arcs average 256 each.
+  std::vector<int> arcs(16, 0);
+  for (std::uint64_t seq = 1; seq <= 4096; ++seq)
+    ++arcs[ContentId::Assigned(1, 42, seq).Prefix64() >> 60];
+  for (int count : arcs) {
+    EXPECT_GT(count, 256 / 2);
+    EXPECT_LT(count, 256 * 2);
+  }
+}
+
 }  // namespace
 }  // namespace vinelet::hash

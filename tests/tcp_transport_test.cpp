@@ -4,6 +4,7 @@
 // inside one process (three TcpTransports, three event loops).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "core/manager.hpp"
 #include "core/worker.hpp"
 #include "net/fault.hpp"
+#include "net/network.hpp"
 #include "net/tcp_transport.hpp"
 #include "serde/function_registry.hpp"
 #include "serde/value.hpp"
@@ -234,6 +236,67 @@ TEST(TcpTransportTest, FaultInjectionDropsAtTheSocketBoundary) {
   auto frame = (*inbox)->RecvFor(std::chrono::seconds(5));
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->payload.ToString(), "back");
+}
+
+TEST(TcpTransportTest, CorruptInlineArgumentRejectedOnBusAndTcp) {
+  // One bit flipped inside a RunInvocation's inline argument bytes leaves
+  // the message well-formed: without the frame CRC a worker would run the
+  // call on the wrong argument.  With it, both transports deliver a frame
+  // that DecodeFrame rejects with kDataLoss.
+  const std::string arg(64, 'q');
+  const core::RunInvocationMsg run{5, 9, "f", Blob::FromString(arg), {}, {}};
+  const core::WireFrame wire = core::EncodeFrame(run);
+  ASSERT_TRUE(wire.attachment.empty());
+  std::vector<std::uint8_t> bytes(wire.payload.span().begin(),
+                                  wire.payload.span().end());
+  auto at = std::search(bytes.begin(), bytes.end(), arg.begin(), arg.end());
+  ASSERT_NE(at, bytes.end());
+  at[static_cast<long>(arg.size() / 2)] ^= 0x04;
+  const Blob damaged(std::move(bytes));
+
+  // The raw decoder, which checks structure only, accepts a different call.
+  auto raw = core::DecodeMessage(
+      damaged.Slice(0, damaged.size() - core::kFrameTrailerBytes));
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_NE(std::get<core::RunInvocationMsg>(*raw).args, run.args);
+
+  const auto expect_rejected = [&](Transport& sender, EndpointId from,
+                                   Inbox& inbox) {
+    Status sent;
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      sent = sender.Send(from, 2, damaged);
+      if (sent.ok()) break;
+      std::this_thread::sleep_for(20ms);  // TCP: the hub learns endpoint 2
+    }
+    ASSERT_TRUE(sent.ok()) << sent.ToString();
+    auto frame = inbox.RecvFor(std::chrono::seconds(5));
+    ASSERT_TRUE(frame.has_value());
+    auto decoded = core::DecodeFrame(*frame);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss);
+
+    // The intact frame still decodes to the original call.
+    ASSERT_TRUE(sender.Send(from, 2, wire.payload).ok());
+    auto intact = inbox.RecvFor(std::chrono::seconds(5));
+    ASSERT_TRUE(intact.has_value());
+    auto good = core::DecodeFrame(*intact);
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    EXPECT_EQ(std::get<core::RunInvocationMsg>(*good).args, run.args);
+  };
+
+  auto bus = std::make_shared<Network>();
+  auto bus_inbox = bus->Register(2);
+  ASSERT_TRUE(bus_inbox.ok());
+  expect_rejected(*bus, 1, **bus_inbox);
+
+  auto hub = StartHub();
+  ASSERT_TRUE(hub->Register(kManagerEndpoint).ok());
+  auto node = StartNode(hub->listen_port());
+  auto node_inbox = node->Register(2);
+  ASSERT_TRUE(node_inbox.ok());
+  expect_rejected(*hub, kManagerEndpoint, **node_inbox);
+  node->Shutdown();
+  hub->Shutdown();
 }
 
 TEST(TcpTransportTest, FaultInjectionDelaysReorderFrames) {

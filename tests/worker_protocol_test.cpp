@@ -8,6 +8,7 @@
 
 #include "core/protocol.hpp"
 #include "core/worker.hpp"
+#include "net/fault.hpp"
 #include "poncho/packer.hpp"
 #include "storage/broadcast.hpp"
 
@@ -62,10 +63,9 @@ class WorkerProtocolTest : public ::testing::Test {
     network_->Unregister(net::kManagerEndpoint);
   }
 
-  void SendToWorker(const Message& message) {
-    ASSERT_TRUE(
-        network_->Send(net::kManagerEndpoint, 1, EncodeMessage(message)).ok());
-  }
+  /// Sends a checksummed frame, attachment and all, as the manager does.
+  /// (The raw EncodeMessage form carries no checksum, so a worker drops it.)
+  void SendToWorker(const Message& message) { SendFrameToWorker(message); }
 
   /// Sends via the attachment-bearing frame form, like real peers do.
   void SendFrameToWorker(const Message& message) {
@@ -384,6 +384,7 @@ TEST_F(WorkerProtocolTest, LibraryLifecycleOverRawProtocol) {
   auto* done = std::get_if<InvocationDoneMsg>(&done_reply);
   ASSERT_NE(done, nullptr);
   EXPECT_EQ(done->id, 77u);
+  EXPECT_EQ(done->instance_id, 5u);
   ASSERT_TRUE(done->ok) << done->error;
   EXPECT_EQ(Value::FromBlob(done->result)->AsInt(), 123);
 
@@ -417,7 +418,82 @@ TEST_F(WorkerProtocolTest, InvocationAgainstUnknownInstanceFails) {
   auto* done = std::get_if<InvocationDoneMsg>(&reply);
   ASSERT_NE(done, nullptr);
   EXPECT_EQ(done->id, 88u);
+  // Failures the worker makes up itself still name the instance, so the
+  // manager can find the call's slot without a scan.
+  EXPECT_EQ(done->instance_id, 999u);
   EXPECT_FALSE(done->ok);
+}
+
+TEST_F(WorkerProtocolTest, DamagedRefFetchFailsTheParkedCallThenRetrySucceeds) {
+  // A ref argument whose replica lives on peer 2.  The first BlobData reply
+  // has one attachment bit flipped after EncodeFrame: the frame CRC turns it
+  // into a miss, so the parked call fails its fetch (the manager would
+  // retry it) and nothing reaches the store.  The retried call fetches an
+  // intact copy and computes on the exact bytes.
+  auto peer_inbox = network_->Register(2);
+  ASSERT_TRUE(peer_inbox.ok());
+  InstallLibraryMsg install;
+  install.instance_id = 5;
+  install.spec.name = "lib";
+  install.spec.function_names = {"echo"};
+  install.spec.setup_args = Value().ToBlob();
+  SendToWorker(install);
+  auto ready_reply = NextMessage();
+  ASSERT_NE(std::get_if<LibraryReadyMsg>(&ready_reply), nullptr);
+
+  const Blob payload = Value(std::string(4096, 'r')).ToBlob();
+  const BlobRef ref{hash::ContentId::Assigned(2, 7, 1), payload.size(), 2};
+  RunInvocationMsg run{90, 5, "echo", Value::List({WrapRef(ref)}).ToBlob(),
+                       {RefArg{0, ref, 2}}, {}};
+
+  const auto serve = [&](bool damage) {
+    auto fetch_frame = (*peer_inbox)->RecvFor(10s);
+    ASSERT_TRUE(fetch_frame.has_value()) << "worker never fetched";
+    auto fetch = DecodeFrame(*fetch_frame);
+    ASSERT_TRUE(fetch.ok()) << fetch.status().ToString();
+    auto* request = std::get_if<FetchBlobMsg>(&*fetch);
+    ASSERT_NE(request, nullptr);
+    EXPECT_EQ(request->id, ref.id);
+    BlobDataMsg data;
+    data.id = ref.id;
+    data.tag = request->tag;
+    data.ok = true;
+    data.payload = payload;
+    WireFrame wire = EncodeFrame(data);
+    if (damage)
+      wire.attachment = net::FaultInjector::CorruptCopy(wire.attachment, 12345);
+    ASSERT_TRUE(network_
+                    ->Send(2, 1, std::move(wire.payload),
+                           std::move(wire.attachment))
+                    .ok());
+  };
+
+  SendToWorker(run);
+  serve(/*damage=*/true);
+  auto failed_reply = NextMessage();
+  auto* failed = std::get_if<InvocationDoneMsg>(&failed_reply);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->id, 90u);
+  EXPECT_EQ(failed->instance_id, 5u);
+  EXPECT_FALSE(failed->ok);
+  EXPECT_NE(failed->error.find("checksum"), std::string::npos)
+      << failed->error;
+  EXPECT_FALSE(worker_->store().Contains(ref.id));
+
+  SendToWorker(run);  // the manager's retry
+  serve(/*damage=*/false);
+  auto announce = NextMessage();  // the new replica is announced first
+  auto* ready = std::get_if<FileReadyMsg>(&announce);
+  ASSERT_NE(ready, nullptr);
+  EXPECT_EQ(ready->content_id, ref.id);
+  auto done_reply = NextMessage();
+  auto* done = std::get_if<InvocationDoneMsg>(&done_reply);
+  ASSERT_NE(done, nullptr);
+  ASSERT_TRUE(done->ok) << done->error;
+  auto echoed = Value::FromBlob(done->result);
+  ASSERT_TRUE(echoed.ok());
+  EXPECT_EQ(echoed->AsList()[0].AsString(), std::string(4096, 'r'));
+  network_->Unregister(2);
 }
 
 TEST_F(WorkerProtocolTest, MalformedFrameIsDroppedNotFatal) {
