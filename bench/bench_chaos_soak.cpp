@@ -28,7 +28,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/factory.hpp"
+#include "core/cluster.hpp"
 #include "core/manager.hpp"
 #include "hash/content_id.hpp"
 #include "net/fault.hpp"
@@ -139,20 +139,16 @@ RuntimeOutcome RunRuntimeSoak(std::uint64_t seed, bool smoke) {
   manager_config.registry = &registry;
   manager_config.max_attempts = 10;
   manager_config.broadcast_probe_s = 0.1;
-  core::Manager manager(network, manager_config);
-  if (!manager.Start().ok()) return out;
-  fault->SetFlightRecorder(&manager.telemetry().flight);
-
   core::FactoryConfig factory_config;
   factory_config.initial_workers = 3;
   factory_config.worker_resources = core::Resources{4, 8 * 1024, 8 * 1024};
-  factory_config.registry = &registry;
   factory_config.fault = fault;
-  core::Factory factory(network, factory_config);
-  if (!factory.Start().ok() || !manager.WaitForWorkers(3, 30.0).ok()) {
+  core::Cluster cluster(network, manager_config, factory_config);
+  core::Manager& manager = cluster.manager();
+  core::Factory& factory = cluster.factory();
+  fault->SetFlightRecorder(&manager.telemetry().flight);
+  if (!cluster.Start().ok()) {
     fault->SetFlightRecorder(nullptr);
-    manager.Stop();
-    factory.Stop();
     return out;
   }
 
@@ -265,8 +261,7 @@ RuntimeOutcome RunRuntimeSoak(std::uint64_t seed, bool smoke) {
 
   out.injected = fault->stats().TotalInjected();
   fault->SetFlightRecorder(nullptr);
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "core/factory.hpp"
+#include "core/cluster.hpp"
 #include "core/manager.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
@@ -103,20 +103,14 @@ RealRun RunRealBroadcast(std::size_t workers, std::size_t blob_bytes,
   telemetry::Telemetry telemetry;
   telemetry.tracer.SetEnabled(true);
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.telemetry = &telemetry;
-  core::Manager manager(network, manager_config);
-  if (!manager.Start().ok()) return out;
   core::FactoryConfig factory_config;
   factory_config.initial_workers = workers;
-  factory_config.telemetry = &telemetry;
-  core::Factory factory(network, factory_config);
-  if (!factory.Start().ok() || !manager.WaitForWorkers(workers, 30.0).ok()) {
-    manager.Stop();
-    factory.Stop();
-    return out;
-  }
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  if (!cluster.Start().ok()) return out;
+  core::Manager& manager = cluster.manager();
 
   std::string text(blob_bytes, '\0');
   for (std::size_t i = 0; i < text.size(); ++i)
@@ -158,8 +152,7 @@ RealRun RunRealBroadcast(std::size_t workers, std::size_t blob_bytes,
     if (window.second > deep_first) ++out.overlapped_workers;
   }
 
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return out;
 }
 

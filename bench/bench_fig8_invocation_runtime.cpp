@@ -19,11 +19,7 @@
 
 #include "apps/demo_registry.hpp"
 #include "bench/bench_util.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
-#include "core/worker.hpp"
-#include "net/network.hpp"
-#include "net/tcp_transport.hpp"
+#include "core/cluster.hpp"
 #include "poncho/analyzer.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
@@ -104,114 +100,45 @@ Result<LegResult> DriveWorkload(core::Manager& manager, int invocations) {
   return leg;
 }
 
-/// In-process leg: manager + factory workers over the in-process bus.
-Result<LegResult> RunInProcess(const serde::FunctionRegistry& registry,
-                               telemetry::Telemetry* telemetry,
-                               std::size_t workers, int invocations) {
-  auto network = std::make_shared<net::Network>();
+/// One leg: a cluster of `workers` over `kind` (the in-process bus, or a
+/// TCP hub with one loopback node per worker, so every frame crosses a
+/// socket even though the processes are threads).
+Result<LegResult> RunLeg(const serde::FunctionRegistry& registry,
+                         telemetry::Telemetry* telemetry,
+                         core::TransportKind kind, std::size_t workers,
+                         int invocations) {
+  auto transport = core::Cluster::NewTransport(kind);
+  if (!transport.ok()) return transport.status();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
   manager_config.telemetry = telemetry;
-  core::Manager manager(network, manager_config);
-  VINELET_RETURN_IF_ERROR(manager.Start());
   core::FactoryConfig factory_config;
   factory_config.initial_workers = workers;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &manager.telemetry();
-  core::Factory factory(network, factory_config);
-  VINELET_RETURN_IF_ERROR(factory.Start());
-  VINELET_RETURN_IF_ERROR(manager.WaitForWorkers(workers, 30.0));
-  auto leg = DriveWorkload(manager, invocations);
-  manager.Stop();
-  factory.Stop();
-  return leg;
-}
-
-/// TCP leg: a real hub socket plus one node transport per worker — every
-/// frame crosses a loopback socket even though the processes are threads.
-Result<LegResult> RunOverTcp(const serde::FunctionRegistry& registry,
-                             telemetry::Telemetry* telemetry,
-                             std::size_t workers, int invocations) {
-  net::TcpTransportConfig hub_config;
-  auto hub = std::make_shared<net::TcpTransport>(hub_config);
-  VINELET_RETURN_IF_ERROR(hub->Start());
-  core::ManagerConfig manager_config;
-  manager_config.registry = &registry;
-  manager_config.telemetry = telemetry;
-  core::Manager manager(hub, manager_config);
-  Status status = manager.Start();
-  if (!status.ok()) {
-    hub->Shutdown();
-    return status;
-  }
-  std::vector<std::shared_ptr<net::TcpTransport>> nodes;
-  std::vector<std::unique_ptr<core::Worker>> worker_objs;
-  auto teardown = [&] {
-    manager.Stop();
-    for (auto& w : worker_objs) w->Stop();
-    for (auto& node : nodes) node->Shutdown();
-    hub->Shutdown();
-  };
-  for (std::size_t i = 0; i < workers; ++i) {
-    net::TcpTransportConfig node_config;
-    node_config.hub_host = "127.0.0.1";
-    node_config.hub_port = hub->listen_port();
-    auto node = std::make_shared<net::TcpTransport>(node_config);
-    if (Status node_status = node->Start(); !node_status.ok()) {
-      teardown();
-      return node_status;
-    }
-    nodes.push_back(node);
-    core::WorkerConfig worker_config;
-    worker_config.id = static_cast<core::WorkerId>(i + 1);
-    worker_config.registry = &registry;
-    worker_config.telemetry = &manager.telemetry();
-    worker_objs.push_back(std::make_unique<core::Worker>(node, worker_config));
-    if (Status worker_status = worker_objs.back()->Start();
-        !worker_status.ok()) {
-      teardown();
-      return worker_status;
-    }
-  }
-  if (Status wait_status = manager.WaitForWorkers(workers, 30.0);
-      !wait_status.ok()) {
-    teardown();
-    return wait_status;
-  }
-  auto leg = DriveWorkload(manager, invocations);
-  teardown();
-  return leg;
+  core::Cluster cluster(*transport, manager_config, factory_config);
+  VINELET_RETURN_IF_ERROR(cluster.Start());
+  return DriveWorkload(cluster.manager(), invocations);
 }
 
 /// Hub-for-external-workers leg (--listen): real cross-process deployment.
 Result<LegResult> RunAsHub(const serde::FunctionRegistry& registry,
                            telemetry::Telemetry* telemetry, std::uint16_t port,
                            std::size_t workers, int invocations) {
-  net::TcpTransportConfig hub_config;
-  hub_config.listen_port = port;
-  auto hub = std::make_shared<net::TcpTransport>(hub_config);
-  VINELET_RETURN_IF_ERROR(hub->Start());
+  auto transport = core::Cluster::NewTransport(core::TransportKind::kTcp, port);
+  if (!transport.ok()) return transport.status();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
   manager_config.telemetry = telemetry;
-  core::Manager manager(hub, manager_config);
-  Status status = manager.Start();
-  if (!status.ok()) {
-    hub->Shutdown();
-    return status;
-  }
-  std::printf("[runtime] hub on port %u, waiting for %zu workerd(s)\n",
-              hub->listen_port(), workers);
+  core::FactoryConfig factory_config;
+  factory_config.initial_workers = 0;
+  core::Cluster cluster(*transport, manager_config, factory_config);
+  VINELET_RETURN_IF_ERROR(cluster.Start());
+  std::printf("[runtime] hub on port %u, waiting for %zu workerd(s)\n", port,
+              workers);
   std::fflush(stdout);
-  if (Status wait_status = manager.WaitForWorkers(workers, 60.0);
-      !wait_status.ok()) {
-    manager.Stop();
-    hub->Shutdown();
-    return wait_status;
-  }
-  auto leg = DriveWorkload(manager, invocations);
+  VINELET_RETURN_IF_ERROR(cluster.manager().WaitForWorkers(workers, 60.0));
+  auto leg = DriveWorkload(cluster.manager(), invocations);
   // Per-connection counters prove the traffic really crossed sockets.
-  for (const auto& conn : hub->ConnectionsSnapshot()) {
+  for (const auto& conn : cluster.transport().ConnectionsSnapshot()) {
     std::printf("[runtime] conn peer %llu %s: sent %llu B, recv %llu B, "
                 "stalls %llu\n",
                 static_cast<unsigned long long>(conn.peer),
@@ -220,8 +147,6 @@ Result<LegResult> RunAsHub(const serde::FunctionRegistry& registry,
                 static_cast<unsigned long long>(conn.bytes_received),
                 static_cast<unsigned long long>(conn.backpressure_stalls));
   }
-  manager.Stop();
-  hub->Shutdown();
   return leg;
 }
 
@@ -260,8 +185,8 @@ int Main(bool smoke, std::uint16_t listen_port, std::size_t ext_workers) {
 
   bench::Table table({"Leg", "Workers", "Invocations", "Makespan (s)",
                       "Mean exec (s)", "Failed"});
-  auto inproc =
-      RunInProcess(registry, session.telemetry(), workers, invocations);
+  auto inproc = RunLeg(registry, session.telemetry(), core::TransportKind::kBus,
+                       workers, invocations);
   if (!inproc.ok()) {
     std::printf("[runtime] in-process leg failed: %s\n",
                 inproc.status().ToString().c_str());
@@ -272,7 +197,8 @@ int Main(bool smoke, std::uint16_t listen_port, std::size_t ext_workers) {
                 FormatDouble(inproc->makespan_s, 3),
                 FormatDouble(inproc->mean_exec_s, 4),
                 std::to_string(inproc->failed)});
-  auto tcp = RunOverTcp(registry, session.telemetry(), workers, invocations);
+  auto tcp = RunLeg(registry, session.telemetry(), core::TransportKind::kTcp,
+                    workers, invocations);
   if (!tcp.ok()) {
     std::printf("[runtime] tcp leg failed: %s\n",
                 tcp.status().ToString().c_str());

@@ -29,7 +29,7 @@
 
 #include "bench/bench_util.hpp"
 #include "core/blob_ref.hpp"
-#include "core/factory.hpp"
+#include "core/cluster.hpp"
 #include "core/manager.hpp"
 
 namespace {
@@ -107,20 +107,16 @@ ModeResult RunMode(const Params& params, bool by_ref) {
   ModeResult out;
   serde::FunctionRegistry registry;
   RegisterBenchFunctions(registry);
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
-  core::Manager manager(network, manager_config);
-  if (!manager.Start().ok()) return out;
   core::FactoryConfig factory_config;
   factory_config.initial_workers = params.workers;
-  factory_config.worker_resources = {32, 64 * 1024, 64 * 1024};
-  factory_config.registry = &registry;
   // By-ref mode: any result >= 64 KiB stays on its producing worker.
   factory_config.ref_results_min_bytes = by_ref ? 64 * 1024 : 0;
-  core::Factory factory(network, factory_config);
-  if (!factory.Start().ok()) return out;
-  if (!manager.WaitForWorkers(params.workers, 30.0).ok()) return out;
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  if (!cluster.Start().ok()) return out;
+  core::Manager& manager = cluster.manager();
 
   // slots=2 with whole-worker resources: a consumer backlog forces the
   // autoscaler to recruit additional workers, so DAG edges genuinely cross
@@ -221,8 +217,7 @@ ModeResult RunMode(const Params& params, bool by_ref) {
     }
   }
 
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return out;
 }
 

@@ -11,7 +11,7 @@
 
 #include "bench/bench_util.hpp"
 #include "common/clock.hpp"
-#include "core/factory.hpp"
+#include "core/cluster.hpp"
 #include "core/manager.hpp"
 #include "poncho/analyzer.hpp"
 #include "sim/engine.hpp"
@@ -79,22 +79,16 @@ std::pair<std::uint64_t, double> HistogramTotals(
 /// poncho environment tarball rides inline with every task).
 RemoteResult RunRemoteTasks(serde::FunctionRegistry& registry,
                             telemetry::Telemetry& telemetry) {
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig config;
   config.registry = &registry;
   config.telemetry = &telemetry;
-  core::Manager manager(network, config);
-  (void)manager.Start();
-  core::FactoryConfig factory_config;
-  factory_config.initial_workers = 1;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &telemetry;
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
+  core::Cluster cluster(std::make_shared<net::Network>(), config,
+                        core::FactoryConfig{});
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   WallClock clock;
   Stopwatch startup(clock);
-  (void)manager.WaitForWorkers(1, 30.0);
   // A small environment that every L1 task re-ships and re-unpacks.
   poncho::Analyzer analyzer(poncho::PackageCatalog::SyntheticMlCatalog(1e-4));
   auto env = analyzer.AnalyzeImports({"python"}).value();
@@ -127,8 +121,7 @@ RemoteResult RunRemoteTasks(serde::FunctionRegistry& registry,
   if (result.completed > 0)
     result.mean_roundtrip_s =
         (sum_after - sum_before) / static_cast<double>(result.completed);
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return result;
 }
 
@@ -136,22 +129,16 @@ RemoteResult RunRemoteTasks(serde::FunctionRegistry& registry,
 /// carry only arguments.
 RemoteResult RunRemoteInvocations(serde::FunctionRegistry& registry,
                                   telemetry::Telemetry& telemetry) {
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig config;
   config.registry = &registry;
   config.telemetry = &telemetry;
-  core::Manager manager(network, config);
-  (void)manager.Start();
-  core::FactoryConfig factory_config;
-  factory_config.initial_workers = 1;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &telemetry;
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
+  core::Cluster cluster(std::make_shared<net::Network>(), config,
+                        core::FactoryConfig{});
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   WallClock clock;
   Stopwatch startup(clock);
-  (void)manager.WaitForWorkers(1, 30.0);
   poncho::Analyzer analyzer(poncho::PackageCatalog::SyntheticMlCatalog(1e-4));
   auto spec = manager.CreateLibraryFromFunctions("tiny", {"tiny_add"},
                                                  "tiny_setup", Value(),
@@ -180,8 +167,7 @@ RemoteResult RunRemoteInvocations(serde::FunctionRegistry& registry,
   if (result.completed > 0)
     result.mean_roundtrip_s =
         (sum_after - sum_before) / static_cast<double>(result.completed);
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return result;
 }
 

@@ -16,7 +16,7 @@
 
 #include "apps/lnni.hpp"
 #include "bench/bench_util.hpp"
-#include "core/factory.hpp"
+#include "core/cluster.hpp"
 #include "core/manager.hpp"
 #include "poncho/analyzer.hpp"
 #include "sim/cost_model.hpp"
@@ -213,19 +213,13 @@ bool RealRuntimeMeasured(bench::JsonReport& report) {
   telemetry::Telemetry telemetry;
   telemetry.tracer.SetEnabled(true);
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
   manager_config.telemetry = &telemetry;
-  core::Manager manager(network, manager_config);
-  (void)manager.Start();
-  core::FactoryConfig factory_config;
-  factory_config.initial_workers = 1;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &telemetry;
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
-  (void)manager.WaitForWorkers(1, 30.0);
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        core::FactoryConfig{});
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   // Real (scaled) environment + real weights, both cached + unpacked.
   poncho::Analyzer analyzer(poncho::PackageCatalog::SyntheticMlCatalog(0.02));
@@ -332,8 +326,7 @@ bool RealRuntimeMeasured(bench::JsonReport& report) {
   const bool blame_ok =
       CrossCheckBlame(all_spans, /*include_file_spans=*/false, "runtime",
                       report);
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return blame_ok;
 }
 

@@ -10,8 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 #include "dag/dag_engine.hpp"
 
 using namespace vinelet;
@@ -49,17 +48,14 @@ int main(int argc, char** argv) {
   serde::FunctionRegistry registry;
   RegisterFunctions(registry);
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
-  core::Manager manager(network, manager_config);
-  (void)manager.Start();
   core::FactoryConfig factory_config;
   factory_config.initial_workers = 2;
-  factory_config.registry = &registry;
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
-  (void)manager.WaitForWorkers(2, 30.0);
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   // Invocation mode: a library retains the (trivial) context so every DAG
   // node runs as a FunctionCall instead of a full task.
@@ -109,7 +105,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(engine.nodes_completed()),
               static_cast<unsigned long long>(
                   manager.metrics().invocations_completed));
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return result->AsNumber() == static_cast<double>(expected) ? 0 : 1;
 }

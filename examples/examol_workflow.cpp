@@ -13,8 +13,7 @@
 #include <set>
 
 #include "apps/examol.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 
 using namespace vinelet;
 using serde::Value;
@@ -35,17 +34,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
-  core::Manager manager(network, manager_config);
-  (void)manager.Start();
   core::FactoryConfig factory_config;
   factory_config.initial_workers = 2;
-  factory_config.registry = &registry;
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
-  (void)manager.WaitForWorkers(2, 30.0);
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   // Discover + distribute + retain the chemistry context: one library
   // hosting all three functions, with the basis set as shared input data.
@@ -142,7 +138,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metrics.invocations_completed),
               static_cast<unsigned long long>(metrics.libraries_deployed),
               metrics.AvgShareValue());
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return 0;
 }

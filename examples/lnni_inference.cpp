@@ -14,39 +14,11 @@
 
 #include "apps/lnni.hpp"
 #include "common/clock.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 #include "poncho/analyzer.hpp"
 
 using namespace vinelet;
 using serde::Value;
-
-namespace {
-
-struct Cluster {
-  std::shared_ptr<net::Network> network;
-  std::unique_ptr<core::Manager> manager;
-  std::unique_ptr<core::Factory> factory;
-};
-
-Cluster StartCluster(serde::FunctionRegistry& registry, std::size_t workers) {
-  Cluster cluster;
-  cluster.network = std::make_shared<net::Network>();
-  core::ManagerConfig config;
-  config.registry = &registry;
-  cluster.manager = std::make_unique<core::Manager>(cluster.network, config);
-  (void)cluster.manager->Start();
-  core::FactoryConfig factory_config;
-  factory_config.initial_workers = workers;
-  factory_config.registry = &registry;
-  cluster.factory =
-      std::make_unique<core::Factory>(cluster.network, factory_config);
-  (void)cluster.factory->Start();
-  (void)cluster.manager->WaitForWorkers(workers, 30.0);
-  return cluster;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const int invocations = argc > 1 ? std::atoi(argv[1]) : 60;
@@ -74,8 +46,14 @@ int main(int argc, char** argv) {
   double checksum[3] = {0, 0, 0};
 
   for (int level = 1; level <= 3; ++level) {
-    Cluster cluster = StartCluster(registry, 2);
-    core::Manager& manager = *cluster.manager;
+    core::ManagerConfig manager_config;
+    manager_config.registry = &registry;
+    core::FactoryConfig factory_config;
+    factory_config.initial_workers = 2;
+    core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                          factory_config);
+    (void)cluster.Start();
+    core::Manager& manager = cluster.manager();
 
     const bool cached = level >= 2;  // L1: inline every time
     auto env = analyzer.AnalyzeImports({"ml-inference"}).value();
@@ -126,8 +104,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(metrics.invocations_completed),
         static_cast<unsigned long long>(metrics.manager_transfers),
         static_cast<unsigned long long>(metrics.peer_transfers));
-    manager.Stop();
-    cluster.factory->Stop();
+    cluster.Stop();
   }
 
   if (checksum[0] != checksum[1] || checksum[1] != checksum[2]) {

@@ -9,8 +9,7 @@
 #include <cstdio>
 
 #include "common/log.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 
 using namespace vinelet;
 using serde::Value;
@@ -81,23 +80,19 @@ int main() {
   serde::FunctionRegistry registry;
   RegisterFunctions(registry);
 
-  // manager = vine.Manager(...)
-  auto network = std::make_shared<net::Network>();
+  // manager = vine.Manager(...), plus two local workers (a tiny cluster)
+  // on the in-process bus.
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
-  core::Manager manager(network, manager_config);
-  if (Status status = manager.Start(); !status.ok()) {
-    std::printf("manager start failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-
-  // Spawn two local workers (a tiny cluster).
   core::FactoryConfig factory_config;
   factory_config.initial_workers = 2;
-  factory_config.registry = &registry;
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
-  (void)manager.WaitForWorkers(2, 30.0);
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  if (Status status = cluster.Start(); !status.ok()) {
+    std::printf("cluster start failed: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  core::Manager& manager = cluster.manager();
 
   // dataset_file = vine.File('dataset.txt', cache=True, peer_transfer=True)
   std::string dataset;
@@ -143,7 +138,6 @@ int main() {
               static_cast<unsigned long long>(metrics.invocations_completed),
               static_cast<unsigned long long>(metrics.libraries_deployed),
               metrics.AvgShareValue());
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return 0;
 }

@@ -12,9 +12,11 @@ frame would be committed to the wire):
   * worker 1 delays 20% of its frames by 5-40 ms (reordering across the
     delay boundary);
   * worker 2 duplicates 10% of its frames (delivery is at-least-once);
-  * worker 3 partitions itself from the hub mid-run (silence, not an
-    error) and is then SIGKILLed, so the manager must notice the death
-    via TCP teardown and requeue the victim's in-flight work.
+  * worker 3 partitions itself from the hub once it has finished
+    PARTITION_AFTER invocations (silence, not an error; counted in work,
+    not seconds, so it lands mid-run on any machine) and is then
+    SIGKILLed, so the manager must notice the death via TCP teardown and
+    requeue the victim's in-flight work.
 
 Drop/corrupt probabilities stay 0 on purpose, mirroring the in-process
 chaos soak: a dropped control frame below the manager's probe layer is
@@ -22,17 +24,22 @@ chaos soak: a dropped control frame below the manager's probe layer is
 plan.  Partition-then-kill covers the loss case instead: everything the
 victim would have sent is lost wholesale, and recovery must still drain.
 
-The gate: vinelet-managerd runs with --min-workers 2 and must exit 0
-(every invocation completed despite the attrition), the two surviving
-workers must exit 0 on the manager's Shutdown broadcast, and nothing may
-outlive the per-seed timeout.
+The gate: the victim must partition before vinelet-managerd exits (else
+the kill leg never ran), vinelet-managerd runs with --min-workers 2 and
+must exit 0 (every invocation completed despite the attrition), the two
+surviving workers must exit 0 on the manager's Shutdown broadcast, and
+nothing may outlive the per-seed timeout.
 """
 import argparse
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+
+# Invocations the victim finishes before it partitions itself.
+PARTITION_AFTER = 50
 
 
 def find_binary(build, name):
@@ -75,23 +82,49 @@ def run_seed(build, seed, invocations, timeout_s, failures):
          "--fault-seed", str(2000 + seed), "--fault-dup-p", "0.1"])
     victim = subprocess.Popen(
         [workerd, "--hub", hub, "--id", "3",
-         "--fault-seed", str(3000 + seed), "--partition-after", "1.0"])
+         "--fault-seed", str(3000 + seed),
+         "--partition-after", str(PARTITION_AFTER)],
+        stderr=subprocess.PIPE, text=True)
+    partitioned = threading.Event()
 
-    # Let the victim join and take work, then go silent (the partition
-    # fires at t=1.0s inside the process, while the workload is still
-    # draining — the default invocation count keeps the drain well past
-    # that point); kill it shortly after so the manager sees the TCP
-    # teardown and runs death recovery on its assignments.  The manager
-    # *cannot* finish while the victim is alive-but-partitioned — its
-    # results are swallowed at the socket boundary — so the kill is what
-    # unblocks the run.
-    time.sleep(2.5)
+    def watch_victim():
+        for line in victim.stderr:
+            sys.stderr.write(line)
+            if "partitioned from hub" in line:
+                partitioned.set()
+
+    watcher = threading.Thread(target=watch_victim, daemon=True)
+    watcher.start()
+
+    # The victim joins, takes work and goes silent once it has finished
+    # PARTITION_AFTER invocations; kill it shortly after so the manager
+    # sees the TCP teardown and runs death recovery on its assignments.
+    # The manager *cannot* finish while the victim is alive-but-partitioned
+    # — its results are swallowed at the socket boundary — so the kill is
+    # what unblocks the run.
+    deadline = time.monotonic() + timeout_s
+    while (not partitioned.wait(0.05) and manager.poll() is None
+           and victim.poll() is None and time.monotonic() < deadline):
+        pass
+    if not partitioned.is_set():
+        if manager.poll() is not None:
+            failures.append(f"seed {seed}: managerd exited before the victim "
+                            f"partitioned, so the kill leg never ran")
+        elif victim.poll() is not None:
+            failures.append(f"seed {seed}: victim worker died before it "
+                            f"partitioned (exit {victim.returncode})")
+        else:
+            failures.append(f"seed {seed}: victim did not partition within "
+                            f"{timeout_s:.0f}s")
+    else:
+        time.sleep(0.5)
+        if victim.poll() is not None:
+            failures.append(f"seed {seed}: victim worker died before the "
+                            f"kill (exit {victim.returncode})")
     if victim.poll() is None:
         victim.send_signal(signal.SIGKILL)
-    else:
-        failures.append(f"seed {seed}: victim worker died before the kill "
-                        f"(exit {victim.returncode})")
     victim.wait()
+    watcher.join()
 
     code = wait_for(manager, timeout_s + 30, f"seed {seed}: managerd",
                     failures)

@@ -17,8 +17,7 @@
 #include <thread>
 
 #include "apps/lnni.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 #include "poncho/analyzer.hpp"
 
 using namespace vinelet;
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
   if (slo_latency_s > 0.0) {
@@ -84,15 +82,12 @@ int main(int argc, char** argv) {
     target.window_s = 60.0;
     manager_config.slo.targets.push_back(target);
   }
-  core::Manager manager(network, manager_config);
-  (void)manager.Start();
   core::FactoryConfig factory_config;
   factory_config.initial_workers = workers;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &manager.telemetry();
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
-  (void)manager.WaitForWorkers(workers, 30.0);
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   // Seed the cluster: broadcast the weights, install the library, submit.
   poncho::Analyzer analyzer(poncho::PackageCatalog::SyntheticMlCatalog(0.005));
@@ -164,7 +159,6 @@ int main(int argc, char** argv) {
   if (unhealthy && !json)
     std::printf("\ncluster unhealthy: straggler or SLO breach flagged\n");
 
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return unhealthy ? 3 : 0;
 }

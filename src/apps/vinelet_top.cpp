@@ -25,8 +25,7 @@
 #include <thread>
 
 #include "apps/lnni.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 #include "poncho/analyzer.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/timeseries.hpp"
@@ -135,7 +134,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
   {
@@ -146,15 +144,12 @@ int main(int argc, char** argv) {
     target.window_s = 30.0;
     manager_config.slo.targets.push_back(target);
   }
-  core::Manager manager(network, manager_config);
-  (void)manager.Start();
   core::FactoryConfig factory_config;
   factory_config.initial_workers = workers;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &manager.telemetry();
-  core::Factory factory(network, factory_config);
-  (void)factory.Start();
-  (void)manager.WaitForWorkers(workers, 30.0);
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  (void)cluster.Start();
+  core::Manager& manager = cluster.manager();
 
   // Windowed sampler over the cluster's shared registry, one window per
   // refresh interval.
@@ -236,7 +231,6 @@ int main(int argc, char** argv) {
 
   const bool unhealthy =
       core::AnyStraggler(last_status) || core::AnySloBreach(last_status);
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return unhealthy ? 3 : 0;
 }

@@ -10,14 +10,16 @@
 //                       [--ref-min-bytes N] [--listen-port P]
 //                       [--fault-seed N] [--fault-delay-p P]
 //                       [--fault-delay-min-ms M] [--fault-delay-max-ms M]
-//                       [--fault-dup-p P] [--partition-after S]
+//                       [--fault-dup-p P] [--partition-after N]
 //
 // The --fault-* flags install a net::FaultInjector on this process's
 // transport, so delays and duplicates are applied at the real socket
 // boundary (the moment bytes would be committed to the wire).
-// --partition-after S symmetrically partitions this worker from the hub
-// after S seconds — silence, not an error — which the cross-process soak
-// pairs with a SIGKILL to exercise the manager's death recovery.
+// --partition-after N symmetrically partitions this worker from the hub
+// once it has finished N library invocations — silence, not an error —
+// which the cross-process soak pairs with a SIGKILL to exercise the
+// manager's death recovery.  Counting work instead of seconds makes the
+// partition land mid-workload however fast the machine is.
 //
 // The function registry is the shared demo registry (see demo_registry.hpp):
 // every process of the deployment must register identical functions, or a
@@ -37,6 +39,7 @@
 #include "apps/demo_registry.hpp"
 #include "core/worker.hpp"
 #include "net/tcp_transport.hpp"
+#include "telemetry/telemetry.hpp"
 
 using namespace vinelet;
 
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
   worker_config.resources = core::Resources{4, 8 * 1024, 8 * 1024};
   std::uint16_t listen_port = 0;
   net::FaultPlan fault_plan;
-  double partition_after_s = 0.0;
+  std::uint64_t partition_after = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--hub") == 0 && i + 1 < argc) {
@@ -112,7 +115,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--fault-dup-p") == 0 && i + 1 < argc) {
       fault_plan.link.dup_p = std::atof(argv[++i]);
     } else if (std::strcmp(arg, "--partition-after") == 0 && i + 1 < argc) {
-      partition_after_s = std::atof(argv[++i]);
+      partition_after = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else {
       return Usage(argv[0]);
     }
@@ -125,6 +128,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   worker_config.registry = &registry;
+  telemetry::Telemetry telemetry;
+  worker_config.telemetry = &telemetry;
 
   net::TcpTransportConfig net_config;
   net_config.listen_port = listen_port;
@@ -137,7 +142,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::shared_ptr<net::FaultInjector> injector;
-  if (!fault_plan.Quiet() || partition_after_s > 0.0) {
+  if (!fault_plan.Quiet() || partition_after > 0) {
     injector = std::make_shared<net::FaultInjector>(fault_plan);
     transport->SetFaultInjector(injector);
   }
@@ -166,13 +171,14 @@ int main(int argc, char** argv) {
               hub_host.c_str(), hub_port, transport->listen_port());
   std::fflush(stdout);
 
-  std::thread partition_timer;
-  if (partition_after_s > 0.0 && injector != nullptr) {
-    partition_timer = std::thread([&] {
+  std::thread partitioner;
+  if (partition_after > 0 && injector != nullptr) {
+    const telemetry::Counter& served =
+        telemetry.metrics.GetCounter("library.invocations");
+    partitioner = std::thread([&] {
       std::unique_lock<std::mutex> lock(g_mu);
-      g_cv.wait_for(lock,
-                    std::chrono::duration<double>(partition_after_s),
-                    [] { return g_stop.load(); });
+      while (!g_stop.load() && served.Value() < partition_after)
+        g_cv.wait_for(lock, std::chrono::milliseconds(1));
       if (g_stop.load()) return;
       injector->Partition(worker_config.id, net::kManagerEndpoint, true);
       std::fprintf(stderr, "vinelet-workerd: partitioned from hub\n");
@@ -183,7 +189,7 @@ int main(int argc, char** argv) {
     std::unique_lock<std::mutex> lock(g_mu);
     g_cv.wait(lock, [] { return g_stop.load(); });
   }
-  if (partition_timer.joinable()) partition_timer.join();
+  if (partitioner.joinable()) partitioner.join();
 
   // Teardown order matters: stop the worker (joins its inbox loop and task
   // threads, sends Goodbye) while the transport is still up, then shut the

@@ -4,6 +4,17 @@
 // alive in the cluster (paper §3.6); here it owns Worker threads.  Tests use
 // it for fault injection (KillWorker) and elasticity (SpawnWorker), matching
 // the paper's worker-churn scenarios.
+//
+// Each worker's transport follows from the one the factory is given:
+//
+//  * a net::TcpTransport hub (is_hub()) — every spawned worker gets its own
+//    loopback node transport that dials the hub's listen_port(), owned by
+//    the factory, so every frame crosses a real socket.  KillWorker shuts
+//    the node down without a Goodbye: the hub observes the same socket
+//    teardown as a crashed process.  StopWorker/Stop leave gracefully (the
+//    Goodbye reaches the hub before the node closes).
+//  * anything else (the in-process net::Network) — shared by every worker;
+//    KillWorker unregisters the endpoint without a Goodbye.
 #pragma once
 
 #include <map>
@@ -12,6 +23,7 @@
 
 #include "core/worker.hpp"
 #include "net/network.hpp"
+#include "net/tcp_transport.hpp"
 
 namespace vinelet::core {
 
@@ -32,8 +44,7 @@ struct FactoryConfig {
 
 class Factory {
  public:
-  Factory(std::shared_ptr<net::Transport> network, FactoryConfig config)
-      : network_(std::move(network)), config_(config) {}
+  Factory(std::shared_ptr<net::Transport> network, FactoryConfig config);
   ~Factory() { Stop(); }
 
   Factory(const Factory&) = delete;
@@ -56,14 +67,25 @@ class Factory {
 
   std::vector<WorkerId> WorkerIds() const;
   Worker* GetWorker(WorkerId id);
-  std::size_t size() const;
 
  private:
+  /// A spawned worker and, on TCP, the node transport it alone uses.
+  struct Member {
+    std::shared_ptr<net::TcpTransport> node;  // null on a shared transport
+    std::unique_ptr<Worker> worker;
+  };
+
+  Result<Member> TakeMember(WorkerId id);
+  /// Graceful leave: Goodbye, then (on TCP) wait until the hub has seen it
+  /// before closing the node's sockets.
+  void Retire(Member& member);
+
   std::shared_ptr<net::Transport> network_;
+  std::shared_ptr<net::TcpTransport> hub_;  // set when network_ is a TCP hub
   FactoryConfig config_;
 
   mutable std::mutex mu_;
-  std::map<WorkerId, std::unique_ptr<Worker>> workers_;
+  std::map<WorkerId, Member> workers_;
   WorkerId next_id_ = 1;
 };
 

@@ -533,14 +533,35 @@ void VineSim::RunL2(SimWorker& worker, std::size_t invocation,
 // ---------------------------------------------------------------------------
 
 void VineSim::PumpLibraries() {
+  // Set once a deploy and an evict have both failed.  Neither outcome
+  // depends on the library asking: room is per worker, and the victims are
+  // the idle instances of libraries with empty queues.  So every later
+  // library fails the same way, until a dispatch empties a queue and leaves
+  // an idle instance behind (a new victim).
+  bool no_capacity = false;
   bool progress = true;
   while (progress) {
     progress = false;
     for (auto& [lib, queue] : lib_pending_) {
       if (queue.empty()) continue;
-      if (ScheduleLibrary(lib)) progress = true;
+      if (ScheduleLibrary(lib, &no_capacity)) progress = true;
+      if (no_capacity && queue.empty() && HasIdleInstance(lib))
+        no_capacity = false;
     }
   }
+}
+
+bool VineSim::HasIdleInstance(std::size_t lib) const {
+  const auto* warm = affinity_.Get(LibKey(lib));
+  if (warm == nullptr) return false;
+  const std::uint32_t k = std::max(1u, config_.library_slots);
+  for (const auto& [id, _] : *warm) {
+    const SimWorker& worker = workers_[static_cast<std::size_t>(id - 1)];
+    auto it = worker.libs.find(lib);
+    if (worker.alive && it != worker.libs.end() && it->second.free_slots >= k)
+      return true;
+  }
+  return false;
 }
 
 core::AutoscaleSignal VineSim::BuildSimSignal(std::size_t lib) const {
@@ -568,20 +589,24 @@ core::AutoscaleSignal VineSim::BuildSimSignal(std::size_t lib) const {
   return signal;
 }
 
-bool VineSim::ScheduleLibrary(std::size_t lib) {
+bool VineSim::ScheduleLibrary(std::size_t lib, bool* no_capacity) {
   auto& queue = lib_pending_[lib];
   bool any = false;
   while (!queue.empty()) {
     // Route to the least-loaded warm slot via the shared decision function,
-    // same tie-break as Manager::TryDispatchCall.
+    // same tie-break as Manager::TryDispatchCall.  The affinity set lists
+    // the workers retaining `lib` in worker order.
     std::vector<core::DispatchCandidate> candidates;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (!workers_[w].alive) continue;
-      auto it = workers_[w].libs.find(lib);
-      if (it == workers_[w].libs.end() || it->second.free_slots == 0)
-        continue;
-      candidates.push_back(
-          {static_cast<std::uint64_t>(w), it->second.free_slots});
+    if (const auto* warm = affinity_.Get(LibKey(lib))) {
+      for (const auto& [id, _] : *warm) {
+        const std::size_t w = static_cast<std::size_t>(id - 1);
+        if (!workers_[w].alive) continue;
+        auto it = workers_[w].libs.find(lib);
+        if (it == workers_[w].libs.end() || it->second.free_slots == 0)
+          continue;
+        candidates.push_back(
+            {static_cast<std::uint64_t>(w), it->second.free_slots});
+      }
     }
     const std::size_t pick =
         core::PickLeastLoaded(candidates.data(), candidates.size());
@@ -591,6 +616,7 @@ bool VineSim::ScheduleLibrary(std::size_t lib) {
       any = true;
       continue;
     }
+    if (*no_capacity) break;
     if (core::DecideAutoscale(config_.scheduler, BuildSimSignal(lib)) !=
         core::AutoscaleAction::kDeploy)
       break;
@@ -606,6 +632,7 @@ bool VineSim::ScheduleLibrary(std::size_t lib) {
       any = true;
       continue;
     }
+    *no_capacity = true;
     break;
   }
   return any;

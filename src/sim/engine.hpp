@@ -297,7 +297,11 @@ class VineSim {
   /// Mirrors Manager::TryScheduleLibrary: drain the library's queue through
   /// warm slots, then close the loop via DecideAutoscale.  Returns true if
   /// any invocation was dispatched or capacity change was initiated.
-  bool ScheduleLibrary(std::size_t lib);
+  /// `*no_capacity` true skips the deploy/evict attempts, known to fail;
+  /// it is set when both fail.
+  bool ScheduleLibrary(std::size_t lib, bool* no_capacity);
+  /// True when an alive worker holds a fully idle instance of `lib`.
+  bool HasIdleInstance(std::size_t lib) const;
   core::AutoscaleSignal BuildSimSignal(std::size_t lib) const;
   /// Pops up to min(queue, free slots, max_batch) invocations onto the
   /// chosen worker as one batched dispatch message.

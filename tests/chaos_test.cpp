@@ -29,8 +29,7 @@
 #include <thread>
 
 #include "core/blob_ref.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 #include "hash/content_id.hpp"
 #include "net/fault.hpp"
 #include "sim/engine.hpp"
@@ -257,30 +256,34 @@ class ChaosTest : public ::testing::Test {
                     Resources worker_resources = {32, 64 * 1024, 64 * 1024},
                     std::uint64_t ref_results_min_bytes = 0) {
     RegisterTestFunctions();
-    network_ = std::make_shared<net::Network>();
+    auto network = std::make_shared<net::Network>();
     fault_ = std::make_shared<net::FaultInjector>(plan);
-    network_->SetFaultInjector(fault_);
+    network->SetFaultInjector(fault_);
     manager_config.registry = registry_.get();
-    manager_ = std::make_unique<Manager>(network_, manager_config);
-    ASSERT_TRUE(manager_->Start().ok());
-    // Injected faults land in the manager's always-on flight journal.
-    fault_->SetFlightRecorder(&manager_->telemetry().flight);
     FactoryConfig factory_config;
     factory_config.initial_workers = workers;
     factory_config.worker_resources = worker_resources;
-    factory_config.registry = registry_.get();
     factory_config.fault = fault_;
     factory_config.ref_results_min_bytes = ref_results_min_bytes;
-    factory_ = std::make_unique<Factory>(network_, factory_config);
-    ASSERT_TRUE(factory_->Start().ok());
-    ASSERT_TRUE(manager_->WaitForWorkers(workers, 30.0).ok());
+    cluster_ = std::make_unique<Cluster>(network, manager_config,
+                                         factory_config);
+    manager_ = &cluster_->manager();
+    factory_ = &cluster_->factory();
+    // Injected faults land in the manager's always-on flight journal.
+    fault_->SetFlightRecorder(&manager_->telemetry().flight);
+    ASSERT_TRUE(cluster_->Start().ok());
   }
 
-  void TearDown() override {
+  void TearDown() override { StopCluster(); }
+
+  /// Tears the cluster down; a test may start a fresh one afterwards.
+  void StopCluster() {
     // Detach the journal before the manager (its owner) goes away.
     if (fault_) fault_->SetFlightRecorder(nullptr);
-    if (manager_) manager_->Stop();
-    if (factory_) factory_->Stop();
+    cluster_.reset();
+    manager_ = nullptr;
+    factory_ = nullptr;
+    fault_.reset();
   }
 
   /// Polls CheckQuiescent until the cluster settles (transitional instance
@@ -466,10 +469,10 @@ class ChaosTest : public ::testing::Test {
   }
 
   std::unique_ptr<serde::FunctionRegistry> registry_;
-  std::shared_ptr<net::Network> network_;
   std::shared_ptr<net::FaultInjector> fault_;
-  std::unique_ptr<Manager> manager_;
-  std::unique_ptr<Factory> factory_;
+  std::unique_ptr<Cluster> cluster_;
+  Manager* manager_ = nullptr;
+  Factory* factory_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -895,13 +898,7 @@ TEST_F(ChaosTest, RefDataPlaneSoakSurvivesReplicaOwnerKills) {
     EXPECT_EQ(report.refs_tracked, 0u);
     VerifyWorkerStores();
 
-    fault_->SetFlightRecorder(nullptr);
-    manager_->Stop();
-    factory_->Stop();
-    manager_.reset();
-    factory_.reset();
-    network_.reset();
-    fault_.reset();
+    StopCluster();
   }
 }
 
@@ -1082,13 +1079,7 @@ TEST_F(ChaosTest, ChaosSoakDrainsCleanAcrossSeeds) {
     EXPECT_TRUE(saw_injection_event);
 
     // Tear down this seed's cluster before the next iteration.
-    fault_->SetFlightRecorder(nullptr);
-    manager_->Stop();
-    factory_->Stop();
-    manager_.reset();
-    factory_.reset();
-    network_.reset();
-    fault_.reset();
+    StopCluster();
   }
 }
 

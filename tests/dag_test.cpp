@@ -5,8 +5,7 @@
 #include <atomic>
 #include <mutex>
 
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "cluster_fixture.hpp"
 #include "dag/dag_engine.hpp"
 
 namespace vinelet::dag {
@@ -169,7 +168,7 @@ TEST(DagEngineTest, WaitForTimesOut) {
 // DAG over the real runtime (VineletExecutor end to end).
 // ---------------------------------------------------------------------------
 
-class DagRuntimeTest : public ::testing::Test {
+class DagRuntimeTest : public ::testing::TestWithParam<core::TransportKind> {
  protected:
   void SetUp() override {
     serde::FunctionDef list_sum;
@@ -186,32 +185,25 @@ class DagRuntimeTest : public ::testing::Test {
     };
     ASSERT_TRUE(registry_.RegisterFunction(list_sum).ok());
 
-    network_ = std::make_shared<net::Network>();
     core::ManagerConfig config;
     config.registry = &registry_;
-    manager_ = std::make_unique<core::Manager>(network_, config);
-    ASSERT_TRUE(manager_->Start().ok());
     core::FactoryConfig factory_config;
     factory_config.initial_workers = 2;
-    factory_config.registry = &registry_;
-    factory_ = std::make_unique<core::Factory>(network_, factory_config);
-    ASSERT_TRUE(factory_->Start().ok());
-    ASSERT_TRUE(manager_->WaitForWorkers(2, 30.0).ok());
-  }
-
-  void TearDown() override {
-    manager_->Stop();
-    factory_->Stop();
+    cluster_ = core::StartTestCluster(GetParam(), config, factory_config);
+    ASSERT_NE(cluster_, nullptr);
+    manager_ = &cluster_->manager();
   }
 
   serde::FunctionRegistry registry_;
-  std::shared_ptr<net::Network> network_;
-  std::unique_ptr<core::Manager> manager_;
-  std::unique_ptr<core::Factory> factory_;
+  std::unique_ptr<core::Cluster> cluster_;
+  core::Manager* manager_ = nullptr;
 };
 
-TEST_F(DagRuntimeTest, TaskModeDagEndToEnd) {
-  VineletExecutor executor(manager_.get());
+INSTANTIATE_TEST_SUITE_P(, DagRuntimeTest, core::kBothTransports,
+                         core::TransportName);
+
+TEST_P(DagRuntimeTest, TaskModeDagEndToEnd) {
+  VineletExecutor executor(manager_);
   DagEngine engine(&executor);
   AppCall call = TaskCall("list_sum");
   call.task_resources = core::Resources{1, 64, 64};
@@ -223,7 +215,7 @@ TEST_F(DagRuntimeTest, TaskModeDagEndToEnd) {
   EXPECT_DOUBLE_EQ(result->AsNumber(), 107.0);
 }
 
-TEST_F(DagRuntimeTest, InvocationModeDagEndToEnd) {
+TEST_P(DagRuntimeTest, InvocationModeDagEndToEnd) {
   auto spec = manager_->CreateLibraryFromFunctions("sums", {"list_sum"});
   ASSERT_TRUE(spec.ok());
   core::LibraryOptions options;
@@ -232,7 +224,7 @@ TEST_F(DagRuntimeTest, InvocationModeDagEndToEnd) {
   (void)options;
   ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
 
-  VineletExecutor executor(manager_.get());
+  VineletExecutor executor(manager_);
   DagEngine engine(&executor);
   AppCall call = TaskCall("list_sum");
   call.library = "sums";

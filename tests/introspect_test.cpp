@@ -10,9 +10,8 @@
 #include <set>
 #include <sstream>
 
-#include "core/factory.hpp"
+#include "cluster_fixture.hpp"
 #include "core/introspect.hpp"
-#include "core/manager.hpp"
 #include "telemetry/export.hpp"
 
 namespace vinelet::core {
@@ -28,30 +27,20 @@ class SevenContext final : public FunctionContext {
   std::uint64_t MemoryBytes() const override { return sizeof(*this); }
 };
 
-/// Harness: network + manager + factory sharing ONE telemetry sink, so
-/// manager spans and worker spans land in the same tracer (the real
-/// deployment shape for end-to-end traces).
-class IntrospectTest : public ::testing::Test {
+/// Harness: a cluster over the parameter's transport.  Manager and
+/// workers share ONE telemetry sink, so manager spans and worker spans land
+/// in the same tracer (the real deployment shape for end-to-end traces).
+class IntrospectTest : public ::testing::TestWithParam<TransportKind> {
  protected:
   void StartCluster(std::size_t workers, ManagerConfig manager_config = {}) {
     RegisterTestFunctions();
-    network_ = std::make_shared<net::Network>();
     manager_config.registry = &registry_;
-    manager_ = std::make_unique<Manager>(network_, manager_config);
-    ASSERT_TRUE(manager_->Start().ok());
     FactoryConfig factory_config;
     factory_config.initial_workers = workers;
-    factory_config.worker_resources = {32, 64 * 1024, 64 * 1024};
-    factory_config.registry = &registry_;
-    factory_config.telemetry = &manager_->telemetry();
-    factory_ = std::make_unique<Factory>(network_, factory_config);
-    ASSERT_TRUE(factory_->Start().ok());
-    ASSERT_TRUE(manager_->WaitForWorkers(workers, 30.0).ok());
-  }
-
-  void TearDown() override {
-    if (manager_) manager_->Stop();
-    if (factory_) factory_->Stop();
+    cluster_ = StartTestCluster(GetParam(), manager_config, factory_config);
+    ASSERT_NE(cluster_, nullptr);
+    manager_ = &cluster_->manager();
+    factory_ = &cluster_->factory();
   }
 
   void RegisterTestFunctions() {
@@ -80,17 +69,19 @@ class IntrospectTest : public ::testing::Test {
   }
 
   serde::FunctionRegistry registry_;
-  std::shared_ptr<net::Network> network_;
-  std::unique_ptr<Manager> manager_;
-  std::unique_ptr<Factory> factory_;
+  std::unique_ptr<Cluster> cluster_;
+  Manager* manager_ = nullptr;
+  Factory* factory_ = nullptr;
 };
+
+INSTANTIATE_TEST_SUITE_P(, IntrospectTest, kBothTransports, TransportName);
 
 // ---------------------------------------------------------------------------
 // Tentpole: one trace_id from Manager::Submit through worker execution and
 // back to result resolution, across a 2-worker cluster.
 // ---------------------------------------------------------------------------
 
-TEST_F(IntrospectTest, SubmitToResultSpansShareOneCausalTrace) {
+TEST_P(IntrospectTest, SubmitToResultSpansShareOneCausalTrace) {
   StartCluster(2);
   manager_->telemetry().tracer.SetEnabled(true);
 
@@ -154,7 +145,7 @@ TEST_F(IntrospectTest, SubmitToResultSpansShareOneCausalTrace) {
 // Tentpole: live introspection over the status wire protocol.
 // ---------------------------------------------------------------------------
 
-TEST_F(IntrospectTest, QueryStatusReportsQueuesCachesAndLibrarySlots) {
+TEST_P(IntrospectTest, QueryStatusReportsQueuesCachesAndLibrarySlots) {
   StartCluster(2);
 
   const Blob weights = Blob::FromString(std::string(2048, 'w'));
@@ -216,7 +207,7 @@ TEST_F(IntrospectTest, QueryStatusReportsQueuesCachesAndLibrarySlots) {
 // Tentpole: flight-recorder post-mortem after an injected crash.
 // ---------------------------------------------------------------------------
 
-TEST_F(IntrospectTest, KilledWorkerDumpsFlightJournalAsValidJson) {
+TEST_P(IntrospectTest, KilledWorkerDumpsFlightJournalAsValidJson) {
   const std::string dir = ::testing::TempDir();
   ::setenv("VINELET_FLIGHT_DUMP", dir.c_str(), 1);
   StartCluster(2);

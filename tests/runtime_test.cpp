@@ -1,7 +1,7 @@
-// End-to-end tests of the real runtime: manager + workers + libraries over
-// the in-process network.  Covers all three context-reuse levels, library
-// slot accounting, empty-library eviction, peer transfers, and fault
-// injection (worker death with retry).
+// End-to-end tests of the real runtime: manager + workers + libraries, each
+// case run over the in-process bus and over loopback TCP.  Covers all three
+// context-reuse levels, library slot accounting, empty-library eviction,
+// peer transfers, and fault injection (worker death with retry).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +10,8 @@
 #include <thread>
 #include <variant>
 
+#include "cluster_fixture.hpp"
 #include "core/blob_ref.hpp"
-#include "core/factory.hpp"
-#include "core/manager.hpp"
 #include "core/protocol.hpp"
 #include "poncho/packer.hpp"
 
@@ -41,31 +40,24 @@ struct TestState {
   std::atomic<int> peak_concurrent{0};
 };
 
-/// Test harness: network + manager + factory + an isolated registry.
-class RuntimeTest : public ::testing::Test {
+/// Test harness: a cluster over the parameter's transport + an isolated
+/// registry.
+class RuntimeTest : public ::testing::TestWithParam<TransportKind> {
  protected:
   void StartCluster(std::size_t workers, ManagerConfig manager_config = {},
                     Resources worker_resources = {32, 64 * 1024, 64 * 1024},
                     std::uint64_t ref_results_min_bytes = 0) {
     state_ = std::make_shared<TestState>();
     RegisterTestFunctions();
-    network_ = std::make_shared<net::Network>();
     manager_config.registry = &registry_;
-    manager_ = std::make_unique<Manager>(network_, manager_config);
-    ASSERT_TRUE(manager_->Start().ok());
     FactoryConfig factory_config;
     factory_config.initial_workers = workers;
     factory_config.worker_resources = worker_resources;
     factory_config.ref_results_min_bytes = ref_results_min_bytes;
-    factory_config.registry = &registry_;
-    factory_ = std::make_unique<Factory>(network_, factory_config);
-    ASSERT_TRUE(factory_->Start().ok());
-    ASSERT_TRUE(manager_->WaitForWorkers(workers, 30.0).ok());
-  }
-
-  void TearDown() override {
-    if (manager_) manager_->Stop();
-    if (factory_) factory_->Stop();
+    cluster_ = StartTestCluster(GetParam(), manager_config, factory_config);
+    ASSERT_NE(cluster_, nullptr);
+    manager_ = &cluster_->manager();
+    factory_ = &cluster_->factory();
   }
 
   void RegisterTestFunctions() {
@@ -220,16 +212,18 @@ class RuntimeTest : public ::testing::Test {
 
   serde::FunctionRegistry registry_;
   std::shared_ptr<TestState> state_;
-  std::shared_ptr<net::Network> network_;
-  std::unique_ptr<Manager> manager_;
-  std::unique_ptr<Factory> factory_;
+  std::unique_ptr<Cluster> cluster_;
+  Manager* manager_ = nullptr;
+  Factory* factory_ = nullptr;
 };
+
+INSTANTIATE_TEST_SUITE_P(, RuntimeTest, kBothTransports, TransportName);
 
 // ---------------------------------------------------------------------------
 // Stateless tasks (L1/L2 plumbing).
 // ---------------------------------------------------------------------------
 
-TEST_F(RuntimeTest, SingleTaskRoundTrip) {
+TEST_P(RuntimeTest, SingleTaskRoundTrip) {
   StartCluster(1);
   auto future = manager_->SubmitTask(
       "add", Value::Dict({{"a", Value(2)}, {"b", Value(40)}}), {},
@@ -241,7 +235,7 @@ TEST_F(RuntimeTest, SingleTaskRoundTrip) {
   EXPECT_EQ(manager_->metrics().tasks_completed, 1u);
 }
 
-TEST_F(RuntimeTest, TaskWithoutSerializedFunctionUsesNamedPath) {
+TEST_P(RuntimeTest, TaskWithoutSerializedFunctionUsesNamedPath) {
   StartCluster(1);
   auto future = manager_->SubmitTask(
       "add", Value::Dict({{"a", Value(1)}, {"b", Value(1)}}), {},
@@ -251,7 +245,7 @@ TEST_F(RuntimeTest, TaskWithoutSerializedFunctionUsesNamedPath) {
   EXPECT_EQ(outcome->value.AsInt(), 2);
 }
 
-TEST_F(RuntimeTest, TaskFailurePropagates) {
+TEST_P(RuntimeTest, TaskFailurePropagates) {
   StartCluster(1);
   auto future =
       manager_->SubmitTask("always_fails", Value(), {}, Resources{1, 64, 64});
@@ -260,7 +254,7 @@ TEST_F(RuntimeTest, TaskFailurePropagates) {
   EXPECT_EQ(outcome.status().code(), ErrorCode::kInternal);
 }
 
-TEST_F(RuntimeTest, UnknownFunctionFailsCleanly) {
+TEST_P(RuntimeTest, UnknownFunctionFailsCleanly) {
   StartCluster(1);
   auto future = manager_->SubmitTask("no_such_function", Value(), {},
                                      Resources{1, 64, 64},
@@ -269,7 +263,7 @@ TEST_F(RuntimeTest, UnknownFunctionFailsCleanly) {
   EXPECT_FALSE(outcome.ok());
 }
 
-TEST_F(RuntimeTest, InlineUncachedInputRidesWithTask) {
+TEST_P(RuntimeTest, InlineUncachedInputRidesWithTask) {
   StartCluster(1);
   const Blob data = Blob::FromString(std::string(2048, 'd'));
   storage::FileDecl decl = manager_->DeclareBlob(
@@ -286,7 +280,7 @@ TEST_F(RuntimeTest, InlineUncachedInputRidesWithTask) {
   EXPECT_FALSE(worker->store().Contains(decl.id));
 }
 
-TEST_F(RuntimeTest, CachedInputStagedOncePerWorker) {
+TEST_P(RuntimeTest, CachedInputStagedOncePerWorker) {
   StartCluster(1);
   const Blob data = Blob::FromString(std::string(4096, 'c'));
   storage::FileDecl decl = manager_->DeclareBlob(
@@ -306,7 +300,7 @@ TEST_F(RuntimeTest, CachedInputStagedOncePerWorker) {
   EXPECT_TRUE(worker->store().Contains(decl.id));
 }
 
-TEST_F(RuntimeTest, EnvironmentTarballUnpackedAndShared) {
+TEST_P(RuntimeTest, EnvironmentTarballUnpackedAndShared) {
   StartCluster(1);
   const Blob tarball = poncho::Packer::PackFiles(
       {{"package.lib", Blob::FromString(std::string(1000, 'p'))}});
@@ -325,7 +319,7 @@ TEST_F(RuntimeTest, EnvironmentTarballUnpackedAndShared) {
   }
 }
 
-TEST_F(RuntimeTest, SerializedClosureTravelsWithTask) {
+TEST_P(RuntimeTest, SerializedClosureTravelsWithTask) {
   StartCluster(1);
   // Model a lambda with captures: serialize closure explicitly and declare
   // it as the function input file.
@@ -344,7 +338,7 @@ TEST_F(RuntimeTest, SerializedClosureTravelsWithTask) {
   EXPECT_EQ(outcome->value.AsInt(), 101);
 }
 
-TEST_F(RuntimeTest, ManyTasksAcrossWorkers) {
+TEST_P(RuntimeTest, ManyTasksAcrossWorkers) {
   StartCluster(3);
   std::vector<FuturePtr> futures;
   for (int i = 0; i < 60; ++i) {
@@ -365,7 +359,7 @@ TEST_F(RuntimeTest, ManyTasksAcrossWorkers) {
 // Libraries and invocations (L3).
 // ---------------------------------------------------------------------------
 
-TEST_F(RuntimeTest, LibraryInvocationUsesRetainedContext) {
+TEST_P(RuntimeTest, LibraryInvocationUsesRetainedContext) {
   StartCluster(1);
   auto spec = manager_->CreateLibraryFromFunctions(
       "numbers", {"use_context"}, "number_setup",
@@ -381,7 +375,7 @@ TEST_F(RuntimeTest, LibraryInvocationUsesRetainedContext) {
   EXPECT_EQ(outcome->value.Get("sum").AsInt(), 1007);
 }
 
-TEST_F(RuntimeTest, ContextSetupRunsOncePerInstance) {
+TEST_P(RuntimeTest, ContextSetupRunsOncePerInstance) {
   StartCluster(1);
   auto spec = manager_->CreateLibraryFromFunctions(
       "numbers", {"use_context"}, "number_setup",
@@ -402,7 +396,7 @@ TEST_F(RuntimeTest, ContextSetupRunsOncePerInstance) {
   EXPECT_EQ(manager_->metrics().libraries_deployed, 1u);
 }
 
-TEST_F(RuntimeTest, RetainedContextMemoryAccounted) {
+TEST_P(RuntimeTest, RetainedContextMemoryAccounted) {
   StartCluster(1);
   auto spec = manager_->CreateLibraryFromFunctions(
       "numbers", {"use_context"}, "number_setup",
@@ -434,7 +428,7 @@ TEST_F(RuntimeTest, RetainedContextMemoryAccounted) {
             sizeof(NumberContext));
 }
 
-TEST_F(RuntimeTest, ForkModeSlotsAllowConcurrency) {
+TEST_P(RuntimeTest, ForkModeSlotsAllowConcurrency) {
   StartCluster(1);
   LibraryOptions options;
   options.slots = 4;
@@ -456,7 +450,7 @@ TEST_F(RuntimeTest, ForkModeSlotsAllowConcurrency) {
   EXPECT_LE(state_->peak_concurrent.load(), 4);  // bounded by slots
 }
 
-TEST_F(RuntimeTest, DirectModeSerializesInvocations) {
+TEST_P(RuntimeTest, DirectModeSerializesInvocations) {
   StartCluster(1);
   LibraryOptions options;
   options.slots = 1;
@@ -474,13 +468,13 @@ TEST_F(RuntimeTest, DirectModeSerializesInvocations) {
   EXPECT_EQ(state_->peak_concurrent.load(), 1);
 }
 
-TEST_F(RuntimeTest, CallToUnknownLibraryFails) {
+TEST_P(RuntimeTest, CallToUnknownLibraryFails) {
   StartCluster(1);
   auto outcome = manager_->SubmitCall("ghost", "f", Value())->Wait();
   EXPECT_EQ(outcome.status().code(), ErrorCode::kNotFound);
 }
 
-TEST_F(RuntimeTest, CallToUnknownFunctionInLibraryFails) {
+TEST_P(RuntimeTest, CallToUnknownFunctionInLibraryFails) {
   StartCluster(1);
   auto spec = manager_->CreateLibraryFromFunctions(
       "numbers", {"use_context"}, "number_setup",
@@ -492,7 +486,7 @@ TEST_F(RuntimeTest, CallToUnknownFunctionInLibraryFails) {
   EXPECT_FALSE(outcome.ok());
 }
 
-TEST_F(RuntimeTest, LibrarySpreadsAcrossWorkers) {
+TEST_P(RuntimeTest, LibrarySpreadsAcrossWorkers) {
   StartCluster(3);
   LibraryOptions options;
   options.slots = 1;
@@ -513,7 +507,7 @@ TEST_F(RuntimeTest, LibrarySpreadsAcrossWorkers) {
   EXPECT_GE(state_->peak_concurrent.load(), 2);
 }
 
-TEST_F(RuntimeTest, EmptyLibraryEvictedForStarvedFunction) {
+TEST_P(RuntimeTest, EmptyLibraryEvictedForStarvedFunction) {
   StartCluster(1);  // single worker: the two libraries must take turns
   auto spec_a = manager_->CreateLibraryFromFunctions(
       "lib_a", {"use_context"}, "number_setup",
@@ -543,7 +537,7 @@ TEST_F(RuntimeTest, EmptyLibraryEvictedForStarvedFunction) {
 // Distribution.
 // ---------------------------------------------------------------------------
 
-TEST_F(RuntimeTest, PeerTransfersServeSecondWorker) {
+TEST_P(RuntimeTest, PeerTransfersServeSecondWorker) {
   ManagerConfig config;
   config.peer_transfers = true;
   StartCluster(2, config, Resources{1, 64 * 1024, 64 * 1024});
@@ -570,7 +564,7 @@ TEST_F(RuntimeTest, PeerTransfersServeSecondWorker) {
   EXPECT_GE(metrics.peer_transfers, 1u);
 }
 
-TEST_F(RuntimeTest, PeerTransfersDisabledFallsBackToManager) {
+TEST_P(RuntimeTest, PeerTransfersDisabledFallsBackToManager) {
   ManagerConfig config;
   config.peer_transfers = false;
   StartCluster(2, config, Resources{1, 64 * 1024, 64 * 1024});
@@ -587,7 +581,7 @@ TEST_F(RuntimeTest, PeerTransfersDisabledFallsBackToManager) {
   EXPECT_EQ(manager_->metrics().peer_transfers, 0u);
 }
 
-TEST_F(RuntimeTest, BroadcastFileReachesEveryWorker) {
+TEST_P(RuntimeTest, BroadcastFileReachesEveryWorker) {
   StartCluster(5);
   std::string text(1 << 20, '\0');
   for (std::size_t i = 0; i < text.size(); ++i)
@@ -610,7 +604,7 @@ TEST_F(RuntimeTest, BroadcastFileReachesEveryWorker) {
   EXPECT_LE(manager_->metrics().manager_transfers, 2u);
 }
 
-TEST_F(RuntimeTest, BroadcastToZeroWorkersResolvesImmediately) {
+TEST_P(RuntimeTest, BroadcastToZeroWorkersResolvesImmediately) {
   StartCluster(1);
   const Blob data = Blob::FromString(std::string(1024, 'z'));
   storage::FileDecl decl =
@@ -629,7 +623,7 @@ TEST_F(RuntimeTest, BroadcastToZeroWorkersResolvesImmediately) {
 // Fault tolerance.
 // ---------------------------------------------------------------------------
 
-TEST_F(RuntimeTest, BroadcastSurvivesRelayDeathMidTransfer) {
+TEST_P(RuntimeTest, BroadcastSurvivesRelayDeathMidTransfer) {
   // Kill a worker while a many-chunk broadcast is in flight.  Whatever the
   // relay had not yet forwarded is lost to its subtree; the manager must
   // detect the death (probe or failed send) and re-feed the survivors.
@@ -659,7 +653,7 @@ TEST_F(RuntimeTest, BroadcastSurvivesRelayDeathMidTransfer) {
   }
 }
 
-TEST_F(RuntimeTest, QueuedTasksScheduleInSubmissionOrder) {
+TEST_P(RuntimeTest, QueuedTasksScheduleInSubmissionOrder) {
   // Pins the scheduler's FIFO sweep: tasks that could not be placed keep
   // their relative order in the queue (the compaction pass must be stable).
   auto order = std::make_shared<std::vector<std::int64_t>>();
@@ -690,7 +684,7 @@ TEST_F(RuntimeTest, QueuedTasksScheduleInSubmissionOrder) {
   EXPECT_EQ(*order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST_F(RuntimeTest, TaskRetriedAfterWorkerDeath) {
+TEST_P(RuntimeTest, TaskRetriedAfterWorkerDeath) {
   StartCluster(2, {}, Resources{1, 64 * 1024, 64 * 1024});
   std::vector<FuturePtr> futures;
   for (int i = 0; i < 6; ++i) {
@@ -708,7 +702,7 @@ TEST_F(RuntimeTest, TaskRetriedAfterWorkerDeath) {
   EXPECT_EQ(succeeded, 6);
 }
 
-TEST_F(RuntimeTest, InvocationsRequeuedAfterLibraryWorkerDeath) {
+TEST_P(RuntimeTest, InvocationsRequeuedAfterLibraryWorkerDeath) {
   StartCluster(2);
   LibraryOptions options;
   options.slots = 2;
@@ -735,7 +729,7 @@ TEST_F(RuntimeTest, InvocationsRequeuedAfterLibraryWorkerDeath) {
   EXPECT_GE(manager_->metrics().libraries_deployed, 2u);
 }
 
-TEST_F(RuntimeTest, PartialBatchFailureResolvesOnlyFailedFutures) {
+TEST_P(RuntimeTest, PartialBatchFailureResolvesOnlyFailedFutures) {
   // Fold failing and succeeding invocations into the same dispatch batches:
   // each item must resolve from its own InvocationDoneMsg — a poisoned item
   // fails alone, its batch-mates succeed, and nothing resolves twice.
@@ -778,7 +772,7 @@ TEST_F(RuntimeTest, PartialBatchFailureResolvesOnlyFailedFutures) {
   EXPECT_GE(status->scheduler.max_batch_size, 2u);
 }
 
-TEST_F(RuntimeTest, BatchSurvivesWorkerDeathMidFlight) {
+TEST_P(RuntimeTest, BatchSurvivesWorkerDeathMidFlight) {
   // Kill the worker while a dispatched batch is executing: every item of
   // the in-flight batch must requeue onto the replacement worker and
   // resolve exactly once.
@@ -813,7 +807,7 @@ TEST_F(RuntimeTest, BatchSurvivesWorkerDeathMidFlight) {
   EXPECT_GE(status->scheduler.max_batch_size, 2u);
 }
 
-TEST_F(RuntimeTest, CacheAffinitySchedulesOntoWarmWorker) {
+TEST_P(RuntimeTest, CacheAffinitySchedulesOntoWarmWorker) {
   // The manager walks the hash ring from the function's hash, so repeated
   // submissions of the same (cached-context) function land where the
   // context already is — as long as that worker has capacity.
@@ -839,7 +833,7 @@ TEST_F(RuntimeTest, CacheAffinitySchedulesOntoWarmWorker) {
   EXPECT_EQ(warm_workers, 1);
 }
 
-TEST_F(RuntimeTest, ChaosMixedWorkloadSurvivesChurn) {
+TEST_P(RuntimeTest, ChaosMixedWorkloadSurvivesChurn) {
   // Sustained worker churn under a mixed task + invocation stream: every
   // future must resolve (success after retries, or a clean error after
   // max_attempts) — never hang.
@@ -886,31 +880,21 @@ TEST_F(RuntimeTest, ChaosMixedWorkloadSurvivesChurn) {
   EXPECT_GE(succeeded, 56);
 }
 
-TEST_F(RuntimeTest, WorkerJoinsAfterSubmission) {
+TEST_P(RuntimeTest, WorkerJoinsAfterSubmission) {
   // Submit first, then bring a worker up: work must drain once it joins.
-  state_ = std::make_shared<TestState>();
-  RegisterTestFunctions();
-  network_ = std::make_shared<net::Network>();
-  ManagerConfig config;
-  config.registry = &registry_;
-  manager_ = std::make_unique<Manager>(network_, config);
-  ASSERT_TRUE(manager_->Start().ok());
+  StartCluster(0);
   auto future = manager_->SubmitTask(
       "add", Value::Dict({{"a", Value(1)}, {"b", Value(2)}}), {},
       Resources{1, 64, 64});
   EXPECT_FALSE(future->Ready());
 
-  FactoryConfig factory_config;
-  factory_config.initial_workers = 1;
-  factory_config.registry = &registry_;
-  factory_ = std::make_unique<Factory>(network_, factory_config);
-  ASSERT_TRUE(factory_->Start().ok());
+  ASSERT_TRUE(factory_->SpawnWorker().ok());
   auto outcome = future->Wait();
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->value.AsInt(), 3);
 }
 
-TEST_F(RuntimeTest, StopCancelsOutstandingWork) {
+TEST_P(RuntimeTest, StopCancelsOutstandingWork) {
   StartCluster(1);
   // No worker can run a 64-core task; it stays queued until Stop.
   auto future = manager_->SubmitTask("add", Value::Dict({{"a", Value(1)},
@@ -921,12 +905,12 @@ TEST_F(RuntimeTest, StopCancelsOutstandingWork) {
   EXPECT_EQ(outcome.status().code(), ErrorCode::kCancelled);
 }
 
-TEST_F(RuntimeTest, WaitForWorkersTimesOut) {
+TEST_P(RuntimeTest, WaitForWorkersTimesOut) {
   StartCluster(1);
   EXPECT_EQ(manager_->WaitForWorkers(5, 0.05).code(), ErrorCode::kTimeout);
 }
 
-TEST_F(RuntimeTest, InstallLibraryValidatesInputs) {
+TEST_P(RuntimeTest, InstallLibraryValidatesInputs) {
   StartCluster(1);
   auto spec = manager_->CreateLibraryFromFunctions(
       "numbers", {"use_context"}, "number_setup",
@@ -940,7 +924,7 @@ TEST_F(RuntimeTest, InstallLibraryValidatesInputs) {
             ErrorCode::kInvalidArgument);
 }
 
-TEST_F(RuntimeTest, CreateLibraryValidates) {
+TEST_P(RuntimeTest, CreateLibraryValidates) {
   StartCluster(1);
   EXPECT_FALSE(manager_->CreateLibraryFromFunctions("", {"use_context"}).ok());
   EXPECT_FALSE(manager_->CreateLibraryFromFunctions("lib", {}).ok());
@@ -956,7 +940,7 @@ TEST_F(RuntimeTest, CreateLibraryValidates) {
 // Satellite audit pin: a result blob rides the wire as a borrowed refcounted
 // view end to end.  Encode must attach the original payload (no copy) and
 // decode must reattach the frame's attachment (no copy).
-TEST_F(RuntimeTest, InvocationDoneResultSharesWirePayload) {
+TEST(WirePayloadTest, InvocationDoneResultSharesWirePayload) {
   InvocationDoneMsg done;
   done.id = 7;
   done.ok = true;
@@ -978,7 +962,7 @@ TEST_F(RuntimeTest, InvocationDoneResultSharesWirePayload) {
 
 // Same pin for the peer serve path: a replica holder answering FetchBlob
 // forwards its cached refcounted bytes without copying.
-TEST_F(RuntimeTest, BlobDataPayloadSharesWirePayload) {
+TEST(WirePayloadTest, BlobDataPayloadSharesWirePayload) {
   BlobDataMsg data;
   data.tag = 12;
   data.ok = true;
@@ -999,7 +983,7 @@ TEST_F(RuntimeTest, BlobDataPayloadSharesWirePayload) {
   EXPECT_TRUE(msg->payload.SharesPayloadWith(data.payload));
 }
 
-TEST_F(RuntimeTest, RefResultRoundTripFetchAndRelease) {
+TEST_P(RuntimeTest, RefResultRoundTripFetchAndRelease) {
   constexpr std::int64_t kBytes = 64 * 1024;
   StartCluster(1, {}, {32, 64 * 1024, 64 * 1024},
                /*ref_results_min_bytes=*/1024);
@@ -1071,7 +1055,7 @@ TEST_F(RuntimeTest, RefResultRoundTripFetchAndRelease) {
   EXPECT_GE(manager_->metrics().refs_dropped, 1u);
 }
 
-TEST_F(RuntimeTest, SmallResultsStayInline) {
+TEST_P(RuntimeTest, SmallResultsStayInline) {
   StartCluster(1, {}, {32, 64 * 1024, 64 * 1024},
                /*ref_results_min_bytes=*/1 << 20);
   auto spec = manager_->CreateLibraryFromFunctions("data", {"make_payload"});

@@ -1,7 +1,7 @@
 // Real-socket transport: hub/node membership over loopback TCP, lazy peer
-// dials, write coalescing + backpressure, fault injection at the socket
-// boundary, and a full manager + worker runtime crossing real sockets
-// inside one process (three TcpTransports, three event loops).
+// dials, write coalescing + backpressure, and fault injection at the socket
+// boundary.  The manager + worker runtime over real sockets is covered by
+// the Tcp instantiations of runtime_test, dag_test and introspect_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +10,10 @@
 #include <memory>
 #include <thread>
 
-#include "core/manager.hpp"
-#include "core/worker.hpp"
+#include "core/protocol.hpp"
 #include "net/fault.hpp"
 #include "net/network.hpp"
 #include "net/tcp_transport.hpp"
-#include "serde/function_registry.hpp"
-#include "serde/value.hpp"
 
 namespace vinelet::net {
 namespace {
@@ -340,115 +337,6 @@ TEST(TcpTransportTest, PartitionIsSilenceNotError) {
   auto frame = (*inbox)->RecvFor(std::chrono::seconds(5));
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->payload.ToString(), "healed");
-}
-
-// ---------------------------------------------------------------------------
-// Full runtime over real sockets: manager on the hub transport, two workers
-// each on their own node transport — three event loops, every protocol
-// frame crossing a loopback socket.
-// ---------------------------------------------------------------------------
-
-serde::FunctionRegistry& TcpTestRegistry() {
-  static serde::FunctionRegistry* registry = [] {
-    auto* r = new serde::FunctionRegistry();
-    serde::FunctionDef add;
-    add.name = "tcp_add";
-    add.fn = [](const serde::Value& args,
-                const serde::InvocationEnv&) -> Result<serde::Value> {
-      auto a = args.GetInt("a");
-      if (!a.ok()) return a.status();
-      auto b = args.GetInt("b");
-      if (!b.ok()) return b.status();
-      return serde::Value(*a + *b);
-    };
-    EXPECT_TRUE(r->RegisterFunction(add).ok());
-    return r;
-  }();
-  return *registry;
-}
-
-TEST(TcpTransportTest, ManagerAndWorkersAcrossRealSockets) {
-  auto hub = StartHub();
-  core::ManagerConfig manager_config;
-  manager_config.registry = &TcpTestRegistry();
-  core::Manager manager(hub, manager_config);
-  ASSERT_TRUE(manager.Start().ok());
-
-  auto node_a = StartNode(hub->listen_port());
-  auto node_b = StartNode(hub->listen_port());
-  core::WorkerConfig worker_config;
-  worker_config.registry = &TcpTestRegistry();
-  worker_config.id = 1;
-  core::Worker worker_a(node_a, worker_config);
-  worker_config.id = 2;
-  core::Worker worker_b(node_b, worker_config);
-  ASSERT_TRUE(worker_a.Start().ok());
-  ASSERT_TRUE(worker_b.Start().ok());
-  ASSERT_TRUE(manager.WaitForWorkers(2, 30.0).ok());
-
-  // Tasks fan out over TCP and results come back over TCP.
-  std::vector<core::FuturePtr> futures;
-  for (int i = 0; i < 20; ++i)
-    futures.push_back(manager.SubmitTask(
-        "tcp_add",
-        serde::Value::Dict(
-            {{"a", serde::Value(i)}, {"b", serde::Value(100)}}),
-        {}, core::Resources{1, 64, 64}));
-  for (int i = 0; i < 20; ++i) {
-    auto outcome = futures[static_cast<std::size_t>(i)]->WaitFor(
-        std::chrono::duration<double>(60.0));
-    ASSERT_TRUE(outcome.has_value()) << "task " << i << " timed out";
-    ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
-    EXPECT_EQ((*outcome)->value.AsInt(), i + 100);
-  }
-
-  auto status = manager.QueryStatus(10.0);
-  ASSERT_TRUE(status.ok()) << status.status().ToString();
-  EXPECT_EQ(status->workers.size(), 2u);
-
-  worker_a.Stop();
-  worker_b.Stop();
-  manager.Stop();
-  node_a->Shutdown();
-  node_b->Shutdown();
-  hub->Shutdown();
-}
-
-TEST(TcpTransportTest, ManagerSurvivesAbruptWorkerDeathOverTcp) {
-  auto hub = StartHub();
-  core::ManagerConfig manager_config;
-  manager_config.registry = &TcpTestRegistry();
-  core::Manager manager(hub, manager_config);
-  ASSERT_TRUE(manager.Start().ok());
-
-  auto node_a = StartNode(hub->listen_port());
-  auto node_b = StartNode(hub->listen_port());
-  core::WorkerConfig worker_config;
-  worker_config.registry = &TcpTestRegistry();
-  worker_config.id = 1;
-  auto worker_a = std::make_unique<core::Worker>(node_a, worker_config);
-  worker_config.id = 2;
-  core::Worker worker_b(node_b, worker_config);
-  ASSERT_TRUE(worker_a->Start().ok());
-  ASSERT_TRUE(worker_b.Start().ok());
-  ASSERT_TRUE(manager.WaitForWorkers(2, 30.0).ok());
-
-  // Kill node A's whole transport mid-flight — the TCP teardown at the hub
-  // must surface as a worker death and pending work must retry on B.
-  node_a->Shutdown();
-  worker_a.reset();
-
-  auto future = manager.SubmitTask(
-      "tcp_add",
-      serde::Value::Dict({{"a", serde::Value(1)}, {"b", serde::Value(2)}}),
-      {}, core::Resources{1, 64, 64});
-  auto outcome = future->WaitFor(std::chrono::duration<double>(60.0));
-  ASSERT_TRUE(outcome.has_value()) << "task timed out after worker death";
-  ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
-  EXPECT_EQ((*outcome)->value.AsInt(), 3);
-
-  worker_b.Stop();
-  manager.Stop();
 }
 
 }  // namespace

@@ -16,8 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/factory.hpp"
-#include "core/manager.hpp"
+#include "core/cluster.hpp"
 #include "poncho/analyzer.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
@@ -514,19 +513,15 @@ std::vector<SpanRecord> RuntimeL3Spans() {
   Telemetry telemetry;
   telemetry.tracer.SetEnabled(true);
 
-  auto network = std::make_shared<net::Network>();
   core::ManagerConfig manager_config;
   manager_config.registry = &registry;
   manager_config.telemetry = &telemetry;
-  core::Manager manager(network, manager_config);
-  EXPECT_TRUE(manager.Start().ok());
   core::FactoryConfig factory_config;
   factory_config.initial_workers = 1;
-  factory_config.registry = &registry;
-  factory_config.telemetry = &telemetry;
-  core::Factory factory(network, factory_config);
-  EXPECT_TRUE(factory.Start().ok());
-  EXPECT_TRUE(manager.WaitForWorkers(1, 30.0).ok());
+  core::Cluster cluster(std::make_shared<net::Network>(), manager_config,
+                        factory_config);
+  EXPECT_TRUE(cluster.Start().ok());
+  core::Manager& manager = cluster.manager();
 
   // A real (tiny) environment input makes the install stage a file onto
   // the worker — the source of the "transfer" span in this scenario.
@@ -547,8 +542,7 @@ std::vector<SpanRecord> RuntimeL3Spans() {
         manager.SubmitCall("echo-lib", "echo", serde::Value(i))->Wait();
     EXPECT_TRUE(outcome.ok());
   }
-  manager.Stop();
-  factory.Stop();
+  cluster.Stop();
   return telemetry.tracer.Drain();
 }
 
