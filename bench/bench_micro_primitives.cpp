@@ -10,7 +10,7 @@
 
 #include "common/buffer_pool.hpp"
 #include "core/protocol.hpp"
-#include "core/scheduler.hpp"
+#include "core/control_core.hpp"
 #include "hash/content_id.hpp"
 #include "hash/crc32c.hpp"
 #include "hash/hash_ring.hpp"
@@ -427,26 +427,33 @@ void BM_DirectInvocationTraceOn(benchmark::State& state) {
 BENCHMARK(BM_DirectInvocationTraceOn);
 
 void BM_SchedulerDispatchDecision(benchmark::State& state) {
-  // One full manager-side scheduling decision at cluster scale: the
-  // least-loaded pick over every warm instance plus the closed-loop
-  // autoscale verdict.  This is the per-invocation cost the affinity
-  // scheduler adds to the event loop, so it must stay trivially small
-  // next to the ~ms dispatch path.
+  // One full manager-side scheduling round trip at cluster scale through
+  // core::ControlCore: submit a call, one pass routes it to the
+  // least-loaded of `instances` warm instances (or asks the autoscaler),
+  // and its reply frees the slot again.  This is the per-invocation cost
+  // the control core adds to the event loop, so it must stay trivially
+  // small next to the ~ms dispatch path.
   const auto instances = static_cast<std::size_t>(state.range(0));
-  std::vector<core::DispatchCandidate> candidates;
-  candidates.reserve(instances);
-  for (std::size_t i = 0; i < instances; ++i)
-    candidates.push_back({i + 1, static_cast<std::uint32_t>(i % 5)});
-  const core::SchedulerConfig config;
-  core::AutoscaleSignal signal;
-  signal.ready_instances = instances;
-  signal.free_slots = instances / 2;
-  std::size_t n = 0;
+  core::ControlCore control;
+  control.AddLibrary("lib", core::Resources{1, 0, 0}, 1);
+  for (std::size_t w = 1; w <= (instances + 15) / 16; ++w)
+    control.AddWorker(w, core::Resources{16, 0, 0});
+  // A backlog of `instances` calls deploys one single-slot instance each;
+  // once ready, each takes its call, which then finishes.
+  for (std::size_t i = 0; i < instances; ++i) control.Submit("lib", i);
+  for (const auto& deploy : control.Pump()) {
+    control.Installing(deploy.instance);
+    control.Ready(deploy.instance);
+    for (const auto& dispatch : control.Refill(deploy.instance))
+      for (auto id : dispatch.calls) control.Finish(dispatch.instance, id);
+  }
+  std::uint64_t call = instances;
   for (auto _ : state) {
-    signal.queue_depth = n++ % (4 * instances);
-    benchmark::DoNotOptimize(
-        core::PickLeastLoaded(candidates.data(), candidates.size()));
-    benchmark::DoNotOptimize(core::DecideAutoscale(config, signal));
+    control.Submit("lib", call);
+    const auto decisions = control.Pump();
+    benchmark::DoNotOptimize(decisions.data());
+    if (!decisions.empty()) control.Finish(decisions.front().instance, call);
+    ++call;
   }
 }
 BENCHMARK(BM_SchedulerDispatchDecision)->Arg(16)->Arg(150)->Arg(2400);
@@ -479,7 +486,7 @@ void BM_EncodeRunInvocationBatched(benchmark::State& state) {
   // The same `batch` invocations folded into one RunInvocationBatchMsg:
   // one frame header, one encode pass — the protocol amortization the
   // batched dispatch path buys (compare items/s against the unbatched
-  // run; the ratio calibrates SimConfig::batch_item_cost_factor).
+  // run; the ratio calibrates sim::kBatchItemCostFactor).
   const auto batch = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     core::RunInvocationBatchMsg msg;

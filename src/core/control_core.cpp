@@ -1,0 +1,513 @@
+#include "core/control_core.hpp"
+
+#include <algorithm>
+#include <tuple>
+
+#include "hash/content_id.hpp"
+
+namespace vinelet::core {
+
+// ---------------------------------------------------------------------------
+// Workers and tasks.
+// ---------------------------------------------------------------------------
+
+void ControlCore::AddWorker(WorkerId worker, Resources total) {
+  if (workers_.try_emplace(worker, total).second) ring_.Add(worker);
+}
+
+ControlCore::WorkerLoss ControlCore::RemoveWorker(WorkerId worker) {
+  WorkerLoss loss;
+  auto it = workers_.find(worker);
+  if (it == workers_.end()) return loss;
+  for (const auto& [task, _] : it->second.tasks) loss.tasks.push_back(task);
+  for (LibraryInstanceId id : it->second.instances) {
+    auto node = instance_table_.extract(id);
+    Library& library = libraries_.at(node.mapped().library);
+    Account(node.mapped(), library, -1);
+    library.instances.erase(id);
+    loss.instances.push_back(std::move(node.mapped()));
+  }
+  workers_.erase(it);
+  ring_.Remove(worker);
+  return loss;
+}
+
+std::optional<WorkerId> ControlCore::PlaceTask(TaskId task, std::uint64_t key,
+                                               const Resources& request) {
+  const auto target = ring_.FindFrom(key, [&](WorkerId id) {
+    return workers_.at(id).alloc.CanAllocate(request);
+  });
+  if (!target) return std::nullopt;
+  Worker& worker = workers_.at(*target);
+  auto claimed = worker.alloc.Allocate(request);
+  if (!claimed.ok()) return std::nullopt;
+  worker.tasks.emplace(task, *claimed);
+  return target;
+}
+
+void ControlCore::ReleaseTask(WorkerId worker, TaskId task) {
+  auto worker_it = workers_.find(worker);
+  if (worker_it == workers_.end()) return;
+  auto node = worker_it->second.tasks.extract(task);
+  // Release fails only on an over-release, a bookkeeping bug that Audit()
+  // reports as an allocator/claims mismatch.
+  if (!node.empty()) (void)worker_it->second.alloc.Release(node.mapped());
+}
+
+// ---------------------------------------------------------------------------
+// Libraries, calls and instance events.
+// ---------------------------------------------------------------------------
+
+void ControlCore::AddLibrary(const std::string& name,
+                             const Resources& resources, std::uint32_t slots) {
+  Library& library = libraries_[name];
+  library.resources = resources;
+  library.slots = slots;
+  library.ring_key = hash::ContentId::OfText(name).Prefix64();
+}
+
+bool ControlCore::Submit(const std::string& library, CallId call) {
+  Library& lib = libraries_.at(library);
+  lib.queue.push_back(call);
+  return lib.ready > 0;
+}
+
+void ControlCore::Requeue(const std::string& library, CallId call) {
+  libraries_.at(library).queue.push_front(call);
+}
+
+void ControlCore::Share(const Instance& instance, Library& library,
+                        int sign) {
+  const auto add = [sign](auto& sum, std::size_t amount) {
+    sum = sign > 0 ? sum + amount : sum - amount;
+  };
+  switch (instance.state) {
+    case InstanceState::kStaging:
+    case InstanceState::kInstalling:
+      add(library.pending, 1);
+      add(library.pending_slots, instance.slots);
+      break;
+    case InstanceState::kReady:
+      add(library.ready, 1);
+      add(library.free_slots, instance.slots - instance.slots_in_use);
+      add(library.served, instance.served);
+      if (sign < 0)
+        library.idle.erase(instance.id);
+      else if (instance.slots_in_use == 0)
+        library.idle.insert(instance.id);
+      break;
+    case InstanceState::kDraining:
+      break;
+  }
+}
+
+void ControlCore::Account(const Instance& instance, Library& library,
+                          int sign) {
+  Share(instance, library, sign);
+  if (instance.state != InstanceState::kReady) return;
+  if (sign > 0) {
+    affinity_index_.Add(instance.library, instance.worker);
+    ++warm_;
+  } else {
+    affinity_index_.Remove(instance.library, instance.worker);
+    --warm_;
+  }
+}
+
+bool ControlCore::Installing(LibraryInstanceId id) {
+  auto it = instance_table_.find(id);
+  if (it == instance_table_.end() ||
+      it->second.state != InstanceState::kStaging)
+    return false;
+  it->second.state = InstanceState::kInstalling;  // same share: pending
+  return true;
+}
+
+bool ControlCore::Ready(LibraryInstanceId id) {
+  auto it = instance_table_.find(id);
+  if (it == instance_table_.end() ||
+      it->second.state != InstanceState::kInstalling)
+    return false;
+  Library& library = libraries_.at(it->second.library);
+  Account(it->second, library, -1);
+  it->second.state = InstanceState::kReady;
+  Account(it->second, library, +1);
+  return true;
+}
+
+std::optional<ControlCore::Instance> ControlCore::Remove(
+    LibraryInstanceId id) {
+  auto node = instance_table_.extract(id);
+  if (node.empty()) return std::nullopt;
+  Instance& instance = node.mapped();
+  Library& library = libraries_.at(instance.library);
+  Account(instance, library, -1);
+  library.instances.erase(id);
+  auto worker_it = workers_.find(instance.worker);
+  if (worker_it != workers_.end()) {
+    worker_it->second.instances.erase(id);
+    (void)worker_it->second.alloc.Release(instance.claimed);  // as above
+  }
+  return std::move(instance);
+}
+
+const ControlCore::Instance* ControlCore::Finish(LibraryInstanceId id,
+                                                 CallId call) {
+  auto it = instance_table_.find(id);
+  if (it == instance_table_.end() || it->second.running.erase(call) == 0)
+    return nullptr;
+  Instance& instance = it->second;
+  Library& library = libraries_.at(instance.library);
+  Share(instance, library, -1);
+  if (instance.slots_in_use > 0) --instance.slots_in_use;
+  ++instance.served;
+  Share(instance, library, +1);
+  return &instance;
+}
+
+// ---------------------------------------------------------------------------
+// Decisions.
+// ---------------------------------------------------------------------------
+
+AutoscaleSignal ControlCore::Signal(const Library& library,
+                                    bool with_room) const {
+  AutoscaleSignal signal;
+  signal.queue_depth = library.queue.size();
+  signal.ready_instances = library.ready;
+  signal.pending_instances = library.pending;
+  signal.free_slots = library.free_slots;
+  signal.pending_slots = library.pending_slots;
+  // Fig 11 share value: invocations served per warm instance.
+  if (library.ready > 0)
+    signal.share_value = static_cast<double>(library.served) /
+                         static_cast<double>(library.ready);
+  // DecideAutoscale reads room only once the backlog outruns the capacity
+  // warm or on its way, so it is counted only then.
+  if (with_room &&
+      signal.queue_depth > signal.free_slots + signal.pending_slots) {
+    for (const auto& [_, worker] : workers_)
+      if (worker.alloc.CanAllocate(library.resources))
+        ++signal.workers_with_room;
+  }
+  return signal;
+}
+
+std::vector<ControlCore::Decision> ControlCore::Pump(const RouteHooks& hooks) {
+  std::vector<Decision> out;
+  // The no-capacity memo: a request for which both a deploy and an evict
+  // failed.  Within one pass room only shrinks (deploys and tasks claim;
+  // removals arrive as later events), and so does the victim set, except
+  // when a library's queue empties while it keeps an idle instance, which
+  // clears the memo.  A later library with the same request would fail
+  // both the same way, so skipping it changes no decision.
+  std::optional<Resources> no_capacity;
+  for (auto& [name, library] : libraries_) {
+    if (library.queue.empty()) continue;
+    ServeQueue(name, library, hooks, no_capacity, out);
+    if (library.queue.empty() && !library.idle.empty()) no_capacity.reset();
+  }
+  return out;
+}
+
+void ControlCore::ServeQueue(const std::string& name, Library& library,
+                             const RouteHooks& hooks,
+                             std::optional<Resources>& no_capacity,
+                             std::vector<Decision>& out) {
+  while (!library.queue.empty()) {
+    if (DispatchOnce(library, hooks, out)) continue;
+    if (no_capacity == library.resources) return;
+    // No warm slot took the call: close the loop through the autoscaler.
+    // A displacing deploy requires the per-instance backlog to cross the
+    // steal threshold, so small backlogs drain through the affinity set.
+    const AutoscaleSignal signal = Signal(library, /*with_room=*/true);
+    if (DecideAutoscale(config_, signal) != AutoscaleAction::kDeploy)
+      return;  // capacity is on the way
+    if (signal.workers_with_room > 0 && Deploy(name, library, out)) continue;
+    // No worker has room: reclaim an idle library of another function
+    // (§3.5.2 empty-library eviction) and wait for the removal.
+    if (!Evict(name, out) && capacity_memo_) no_capacity = library.resources;
+    return;
+  }
+}
+
+bool ControlCore::DispatchOnce(Library& library, const RouteHooks& hooks,
+                               std::vector<Decision>& out) {
+  if (library.free_slots == 0) return false;  // narrowing cannot add slots
+  // Context affinity: the least-loaded warm instance, ties to the lowest id.
+  std::vector<DispatchCandidate> candidates;
+  for (LibraryInstanceId id : library.instances) {
+    const Instance& instance = instance_table_.at(id);
+    if (instance.state == InstanceState::kReady)
+      candidates.push_back({id, instance.slots - instance.slots_in_use});
+  }
+  if (hooks.narrow && candidates.size() > 1)
+    hooks.narrow(library.queue.front(), candidates);
+  const std::size_t pick =
+      PickLeastLoaded(candidates.data(), candidates.size());
+  if (pick == kNoCandidate) return false;
+  return Take(instance_table_.at(candidates[pick].instance_id), library,
+              hooks, out) > 0;
+}
+
+std::size_t ControlCore::Take(Instance& instance, Library& library,
+                              const RouteHooks& hooks,
+                              std::vector<Decision>& out) {
+  while (hooks.unrunnable && !library.queue.empty() &&
+         hooks.unrunnable(library.queue.front()))
+    library.queue.pop_front();
+  const std::size_t take = std::min<std::size_t>(
+      {library.queue.size(), instance.slots - instance.slots_in_use,
+       kMaxBatch});
+  if (take == 0) return 0;
+  Decision decision;
+  decision.instance = instance.id;
+  decision.worker = instance.worker;
+  Share(instance, library, -1);
+  for (std::size_t i = 0; i < take; ++i) {
+    decision.calls.push_back(library.queue.front());
+    instance.running.insert(library.queue.front());
+    library.queue.pop_front();
+  }
+  instance.slots_in_use += static_cast<std::uint32_t>(take);
+  Share(instance, library, +1);
+  out.push_back(std::move(decision));
+  return take;
+}
+
+bool ControlCore::Deploy(const std::string& name, Library& library,
+                         std::vector<Decision>& out) {
+  const auto target = ring_.FindFrom(library.ring_key, [&](WorkerId id) {
+    return workers_.at(id).alloc.CanAllocate(library.resources);
+  });
+  if (!target) return false;
+  Worker& worker = workers_.at(*target);
+  auto claimed = worker.alloc.Allocate(library.resources);
+  if (!claimed.ok()) return false;
+  Instance instance;
+  instance.id = next_instance_id_++;
+  instance.library = name;
+  instance.worker = *target;
+  instance.claimed = *claimed;
+  instance.slots = library.slots;
+  Decision& deploy = out.emplace_back();
+  deploy.kind = Decision::Kind::kDeploy;
+  deploy.instance = instance.id;
+  deploy.worker = *target;
+  deploy.library = name;
+  deploy.calls = {library.queue.front()};
+  // Work stealing: recruiting a worker outside the warm affinity set while
+  // the library already has warm instances elsewhere.
+  deploy.steal = library.ready > 0 && !affinity_index_.Contains(name, *target);
+  Account(instance, library, +1);
+  library.instances.insert(instance.id);
+  worker.instances.insert(instance.id);
+  instance_table_.emplace(instance.id, std::move(instance));
+  return true;
+}
+
+bool ControlCore::Evict(const std::string& for_library,
+                        std::vector<Decision>& out) {
+  // Fig 11 eviction order: among idle instances of libraries with nothing
+  // queued, one whose library's share value is below the floor first —
+  // DecideAutoscale flags those (kEvict) — then the least served, then the
+  // lowest id.  A proven library is only displaced when no poor one
+  // remains, because evicting it destroys the amortization retention paid.
+  Instance* victim = nullptr;
+  std::tuple<bool, std::uint64_t, LibraryInstanceId> best;
+  for (auto& [name, library] : libraries_) {
+    if (name == for_library || library.idle.empty() || !library.queue.empty())
+      continue;
+    const bool preferred =
+        DecideAutoscale(config_, Signal(library, /*with_room=*/false)) ==
+        AutoscaleAction::kEvict;
+    for (LibraryInstanceId id : library.idle) {
+      Instance& instance = instance_table_.at(id);
+      const auto key = std::make_tuple(!preferred, instance.served, id);
+      if (victim == nullptr || key < best) {
+        victim = &instance;
+        best = key;
+      }
+    }
+  }
+  if (victim == nullptr) return false;
+  Library& library = libraries_.at(victim->library);
+  Account(*victim, library, -1);
+  victim->state = InstanceState::kDraining;
+  Decision& evict = out.emplace_back();
+  evict.kind = Decision::Kind::kEvict;
+  evict.instance = victim->id;
+  evict.worker = victim->worker;
+  evict.library = victim->library;
+  return true;
+}
+
+std::vector<ControlCore::Decision> ControlCore::Refill(
+    LibraryInstanceId id, const RouteHooks& hooks) {
+  std::vector<Decision> out;
+  auto it = instance_table_.find(id);
+  if (it == instance_table_.end() || it->second.state != InstanceState::kReady)
+    return out;
+  Library& library = libraries_.at(it->second.library);
+  // One batch covers at most kMaxBatch calls; loop while slots stay free.
+  while (!library.queue.empty() &&
+         it->second.slots_in_use < it->second.slots &&
+         Take(it->second, library, hooks, out) > 0) {
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Views and audit.
+// ---------------------------------------------------------------------------
+
+const ControlCore::Instance* ControlCore::FindInstance(
+    LibraryInstanceId id) const {
+  auto it = instance_table_.find(id);
+  return it == instance_table_.end() ? nullptr : &it->second;
+}
+
+std::size_t ControlCore::PendingOn(WorkerId worker) const {
+  auto it = workers_.find(worker);
+  if (it == workers_.end()) return 0;
+  return static_cast<std::size_t>(std::count_if(
+      it->second.instances.begin(), it->second.instances.end(),
+      [&](LibraryInstanceId id) {
+        const InstanceState state = instance_table_.at(id).state;
+        return state == InstanceState::kStaging ||
+               state == InstanceState::kInstalling;
+      }));
+}
+
+ControlCore::AuditReport ControlCore::Audit() const {
+  AuditReport report;
+  auto violate = [&](std::string what) {
+    report.violations.push_back(std::move(what));
+  };
+  for (const auto& [name, library] : libraries_) {
+    report.queued_calls += library.queue.size();
+    if (!library.queue.empty())
+      violate("library " + name + " still has " +
+              std::to_string(library.queue.size()) + " queued calls");
+  }
+
+  // Instances may outlive the workload (retained context is the point),
+  // but they must be settled: kReady, no running invocations, no claimed
+  // slots.  Transitional states are reported so callers poll until the
+  // removal or readiness lands.
+  report.instances = instance_table_.size();
+  std::map<std::string, Library> recount;
+  std::map<WorkerId, Resources> claims;
+  AffinityIndex expected_affinity;
+  for (const auto& [id, instance] : instance_table_) {
+    const std::string label =
+        "instance " + instance.library + "#" + std::to_string(id);
+    const std::size_t running = instance.running.size();
+    report.running_invocations += running;
+    if (running != 0)
+      violate(label + " still has " + std::to_string(running) +
+              " running invocations");
+    if (instance.slots_in_use != running)
+      violate(label + " slots_in_use=" +
+              std::to_string(instance.slots_in_use) + " but " +
+              std::to_string(running) + " running invocations");
+    switch (instance.state) {
+      case InstanceState::kStaging:
+        violate(label + " still staging");
+        break;
+      case InstanceState::kInstalling:
+        violate(label + " still installing");
+        break;
+      case InstanceState::kDraining:
+        violate(label + " still draining");
+        ++report.active;
+        break;
+      case InstanceState::kReady:
+        expected_affinity.Add(instance.library, instance.worker);
+        ++report.active;
+        break;
+    }
+    auto worker_it = workers_.find(instance.worker);
+    if (worker_it == workers_.end() ||
+        !worker_it->second.instances.contains(id))
+      violate(label + " not linked to worker " +
+              std::to_string(instance.worker));
+    Share(instance, recount[instance.library], +1);
+    Resources& claim =
+        claims.try_emplace(instance.worker, Resources{0, 0, 0}).first->second;
+    claim.cores += instance.claimed.cores;
+    claim.memory_mb += instance.claimed.memory_mb;
+    claim.disk_mb += instance.claimed.disk_mb;
+  }
+  const auto sums = [](const Library& l) {
+    return std::tie(l.ready, l.pending, l.free_slots, l.pending_slots,
+                    l.served, l.idle);
+  };
+  for (const auto& [name, library] : libraries_)
+    if (sums(library) != sums(recount[name]))
+      violate("library " + name + " sums disagree with its instances");
+
+  // Affinity sets must equal what the instance table implies: exactly one
+  // entry per kReady instance, keyed by its (library, worker).  A stale
+  // entry (e.g. left behind by a worker death) would route invocations at
+  // vanished context; a missing one hides warm capacity.
+  for (const auto& [library, workers] : affinity_index_.table()) {
+    report.affinity_entries += workers.size();
+    const AffinityIndex::WorkerCounts* expected =
+        expected_affinity.Get(library);
+    for (const auto& [worker, count] : workers) {
+      std::uint32_t expected_count = 0;
+      if (expected != nullptr && expected->contains(worker))
+        expected_count = expected->at(worker);
+      if (expected_count == 0)
+        violate("stale affinity entry: " + library + " -> worker " +
+                std::to_string(worker) + " (no ready instance there)");
+      else if (expected_count != count)
+        violate("affinity count for " + library + " on worker " +
+                std::to_string(worker) + " = " + std::to_string(count) +
+                " but " + std::to_string(expected_count) +
+                " ready instances");
+    }
+  }
+  for (const auto& [library, workers] : expected_affinity.table())
+    for (const auto& [worker, count] : workers) {
+      report.warm += count;
+      if (!affinity_index_.Contains(library, worker))
+        violate("missing affinity entry: " + library + " -> worker " +
+                std::to_string(worker));
+    }
+  if (warm_ != report.warm)
+    violate("warm-instance count = " + std::to_string(warm_) + " but " +
+            std::to_string(report.warm) + " ready instances");
+
+  // Per-worker accounting: the membership sets must be mirrored by the
+  // instance table, and the recorded claims must exactly explain the
+  // allocator's non-free resources.
+  for (const auto& [worker_id, worker] : workers_) {
+    const std::string label = "worker " + std::to_string(worker_id);
+    for (LibraryInstanceId inst_id : worker.instances)
+      if (!instance_table_.contains(inst_id))
+        violate(label + " lists unknown instance " + std::to_string(inst_id));
+    Resources claimed = claims.try_emplace(worker_id, Resources{0, 0, 0})
+                            .first->second;
+    for (const auto& [_, task] : worker.tasks) {
+      claimed.cores += task.cores;
+      claimed.memory_mb += task.memory_mb;
+      claimed.disk_mb += task.disk_mb;
+    }
+    const Resources total = worker.alloc.total();
+    const Resources expected_free{total.cores - claimed.cores,
+                                  total.memory_mb - claimed.memory_mb,
+                                  total.disk_mb - claimed.disk_mb};
+    if (claimed.cores > total.cores || claimed.memory_mb > total.memory_mb ||
+        claimed.disk_mb > total.disk_mb) {
+      violate(label + " oversubscribed: claims " + claimed.ToString() +
+              " of " + total.ToString());
+    } else if (!(worker.alloc.free() == expected_free)) {
+      violate(label + " allocator free=" + worker.alloc.free().ToString() +
+              " but recorded claims imply " + expected_free.ToString());
+    }
+  }
+  return report;
+}
+
+}  // namespace vinelet::core

@@ -1,0 +1,228 @@
+// ControlCore: the L3 control state and decisions, written once.
+//
+// The paper's retain mechanism — place each call on retained context
+// (§3.4), evict an empty library when another function starves (§3.5.2) —
+// lives here, with no clock, no transport and no telemetry.  Its two
+// drivers, the live Manager and the DES (VineSim), feed it events and carry
+// out the decisions it returns.
+//
+// The core owns the per-library call queues, the instance table (ids minted
+// here), one ResourceAllocator per worker, the hash ring, and the
+// AffinityIndex and warm-instance count, both kept by its own transitions.
+// A queued call is the driver's id for it (InvocationId in the Manager, the
+// invocation index in the DES); the call itself stays in a driver-side
+// table.  Plain L1/L2 tasks claim from the same allocators over the same
+// ring walk, so the core places them too.
+#pragma once
+
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/resources.hpp"
+#include "core/scheduler.hpp"
+#include "core/types.hpp"
+#include "hash/hash_ring.hpp"
+
+namespace vinelet::core {
+
+enum class InstanceState : std::uint8_t {
+  kStaging,     // placed; its input files are on the way
+  kInstalling,  // install sent; waiting for LibraryReady
+  kReady,       // warm: takes calls, counts toward affinity
+  kDraining,    // eviction sent; waiting for LibraryRemoved
+};
+
+class ControlCore {
+ public:
+  using CallId = std::uint64_t;
+
+  struct Instance {
+    LibraryInstanceId id = 0;
+    std::string library;
+    WorkerId worker = 0;
+    InstanceState state = InstanceState::kStaging;
+    Resources claimed;
+    std::uint32_t slots = 1;
+    std::uint32_t slots_in_use = 0;
+    std::uint64_t served = 0;  // calls finished here (Fig 11 share value)
+    std::set<CallId> running;  // calls in flight, ascending id
+  };
+
+  struct Library {
+    Resources resources;
+    std::uint32_t slots = 1;
+    std::uint64_t ring_key = 0;  // hash of the name, taken once
+    std::deque<CallId> queue;
+    std::set<LibraryInstanceId> instances;  // every state
+    std::set<LibraryInstanceId> idle;       // ready, nothing in flight
+    // Sums over `instances`, kept by every transition so that a signal
+    // costs O(1); Audit() recounts them.
+    std::size_t ready = 0, pending = 0;  // pending: staging or installing
+    std::size_t free_slots = 0, pending_slots = 0;
+    std::uint64_t served = 0;  // by ready instances
+  };
+
+  struct Worker {
+    ResourceAllocator alloc;
+    std::set<LibraryInstanceId> instances;
+    std::map<TaskId, Resources> tasks;  // claims of placed tasks
+    explicit Worker(Resources total) : alloc(total) {}
+  };
+
+  /// A decision for the driver to carry out; the core already reflects it.
+  struct Decision {
+    enum class Kind : std::uint8_t {
+      kDispatch,  // send `calls` to `instance`, one batch
+      kDeploy,    // stage and install the new `instance` on `worker`
+      kEvict,     // tell `worker` to remove the idle `instance`
+    };
+    Kind kind = Kind::kDispatch;
+    LibraryInstanceId instance = 0;
+    WorkerId worker = 0;
+    std::string library;
+    /// kDispatch: the batch in queue order.  kDeploy: the queued call that
+    /// asked for the capacity (its trace owns the install).
+    std::vector<CallId> calls;
+    /// kDeploy: outside the library's warm set while it is warm elsewhere.
+    bool steal = false;
+  };
+
+  /// Driver inputs to routing.
+  struct RouteHooks {
+    /// The call at a queue front can never run; the driver has failed it
+    /// and the core drops it.  (Manager: a ref argument lost every replica.)
+    std::function<bool(CallId)> unrunnable;
+    /// Narrows two or more warm candidates for the call at the queue front.
+    /// (Manager: keep the workers holding the most ref-argument bytes.)
+    std::function<void(CallId, std::vector<DispatchCandidate>&)> narrow;
+  };
+
+  struct WorkerLoss {
+    std::vector<TaskId> tasks;        // ascending
+    std::vector<Instance> instances;  // ascending id, with their calls
+  };
+
+  struct AuditReport {
+    std::vector<std::string> violations;
+    std::size_t queued_calls = 0;
+    std::size_t instances = 0;
+    std::size_t running_invocations = 0;
+    std::size_t active = 0;  // ready or draining instances
+    std::size_t warm = 0;    // ready instances, recounted
+    std::size_t affinity_entries = 0;
+  };
+
+  explicit ControlCore(SchedulerConfig config = {}) : config_(config) {}
+
+  // ---- events in ---------------------------------------------------------
+  // Instance events change nothing, and return false (nullopt, nullptr),
+  // when they do not apply: a duplicated frame is a no-op.
+
+  /// No-op if the worker is already known.
+  void AddWorker(WorkerId worker, Resources total);
+  /// The death sweep: forgets the worker's claims, ring points, instances
+  /// and affinity entries, and returns what was lost; each instance's calls
+  /// come back ascending, for the driver to requeue at the front.
+  WorkerLoss RemoveWorker(WorkerId worker);
+
+  /// Claims room for `task` on the first worker with room on the ring walk
+  /// from `key`.
+  std::optional<WorkerId> PlaceTask(TaskId task, std::uint64_t key,
+                                    const Resources& request);
+  void ReleaseTask(WorkerId worker, TaskId task);
+
+  /// Registers (or re-registers) a library template.
+  void AddLibrary(const std::string& name, const Resources& resources,
+                  std::uint32_t slots);
+  /// Queues a new call; returns whether its library was warm anywhere (the
+  /// affinity-hit signal).
+  bool Submit(const std::string& library, CallId call);
+  /// Puts a call back at the front of its library's queue (a retry).
+  void Requeue(const std::string& library, CallId call);
+
+  bool Installing(LibraryInstanceId id);  // staging done, install sent
+  bool Ready(LibraryInstanceId id);       // only from kInstalling
+  /// Removed after eviction, setup failed, or staging abandoned: releases
+  /// the claim and returns the instance with any calls still in flight.
+  std::optional<Instance> Remove(LibraryInstanceId id);
+  /// A call finished on `instance`, successfully or not: frees its slot and
+  /// counts it served.  Returns the instance; nullptr unless the call was
+  /// running there.
+  const Instance* Finish(LibraryInstanceId instance, CallId call);
+
+  // ---- decisions out ---------------------------------------------------
+
+  /// One pass over the libraries with queued calls, in name order: route
+  /// calls to the least-loaded warm instance; when none has a slot, ask the
+  /// autoscaler, deploy on the first worker with room on the ring walk from
+  /// the library's key, or else evict one idle instance of another library
+  /// and wait for its removal.
+  std::vector<Decision> Pump(const RouteHooks& hooks = {});
+  /// Refills one ready instance from its library's queue (the slot that
+  /// just freed, or the instance that just became ready).
+  std::vector<Decision> Refill(LibraryInstanceId id,
+                               const RouteHooks& hooks = {});
+  /// The memo Pump() keeps changes no decision (control_core_test compares
+  /// a core with it against one without); switching it off only costs time.
+  void set_capacity_memo(bool on) { capacity_memo_ = on; }
+
+  // ---- views --------------------------------------------------------------
+
+  const Instance* FindInstance(LibraryInstanceId id) const;
+  const std::map<LibraryInstanceId, Instance>& instances() const {
+    return instance_table_;
+  }
+  const std::map<std::string, Library>& libraries() const {
+    return libraries_;
+  }
+  const std::map<WorkerId, Worker>& workers() const { return workers_; }
+  const hash::HashRing& ring() const { return ring_; }
+  const AffinityIndex& affinity() const { return affinity_index_; }
+  std::size_t warm_instances() const { return warm_; }
+  /// Staging or installing instances on `worker`.
+  std::size_t PendingOn(WorkerId worker) const;
+
+  /// Audit of a settled core: nothing queued, running or in transit;
+  /// affinity, the warm count and the library sums equal to what the
+  /// instance table implies; per-worker claims (instances and tasks) that
+  /// exactly explain each allocator.  CheckQuiescent reports these texts.
+  AuditReport Audit() const;
+
+ private:
+  /// Adds (`sign` +1) or withdraws (-1) an instance's share of its
+  /// library's sums and idle set, by its state.
+  static void Share(const Instance& instance, Library& library, int sign);
+  /// Share() plus the affinity index and the warm count.
+  void Account(const Instance& instance, Library& library, int sign);
+  AutoscaleSignal Signal(const Library& library, bool with_room) const;
+  void ServeQueue(const std::string& name, Library& library,
+                  const RouteHooks& hooks,
+                  std::optional<Resources>& no_capacity,
+                  std::vector<Decision>& out);
+  bool DispatchOnce(Library& library, const RouteHooks& hooks,
+                    std::vector<Decision>& out);
+  /// Moves up to min(queue, free slots, kMaxBatch) calls onto `instance`.
+  std::size_t Take(Instance& instance, Library& library,
+                   const RouteHooks& hooks, std::vector<Decision>& out);
+  bool Deploy(const std::string& name, Library& library,
+              std::vector<Decision>& out);
+  bool Evict(const std::string& for_library, std::vector<Decision>& out);
+
+  SchedulerConfig config_;
+  std::map<std::string, Library> libraries_;
+  std::map<LibraryInstanceId, Instance> instance_table_;
+  std::map<WorkerId, Worker> workers_;
+  hash::HashRing ring_;
+  AffinityIndex affinity_index_;
+  std::size_t warm_ = 0;
+  LibraryInstanceId next_instance_id_ = 1;
+  bool capacity_memo_ = true;
+};
+
+}  // namespace vinelet::core

@@ -85,13 +85,6 @@ Status Factory::KillWorker(WorkerId id) {
   return Status::Ok();
 }
 
-Status Factory::StopWorker(WorkerId id) {
-  auto member = TakeMember(id);
-  if (!member.ok()) return member.status();
-  Retire(*member);
-  return Status::Ok();
-}
-
 std::vector<WorkerId> Factory::WorkerIds() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<WorkerId> ids;

@@ -11,8 +11,8 @@
 //    loopback node transport that dials the hub's listen_port(), owned by
 //    the factory, so every frame crosses a real socket.  KillWorker shuts
 //    the node down without a Goodbye: the hub observes the same socket
-//    teardown as a crashed process.  StopWorker/Stop leave gracefully (the
-//    Goodbye reaches the hub before the node closes).
+//    teardown as a crashed process.  Stop leaves gracefully (the Goodbye
+//    reaches the hub before the node closes).
 //  * anything else (the in-process net::Network) — shared by every worker;
 //    KillWorker unregisters the endpoint without a Goodbye.
 #pragma once
@@ -61,9 +61,6 @@ class Factory {
 
   /// Abruptly kills a worker (no Goodbye) — fault injection.
   Status KillWorker(WorkerId id);
-
-  /// Gracefully removes a worker (scale-down).
-  Status StopWorker(WorkerId id);
 
   std::vector<WorkerId> WorkerIds() const;
   Worker* GetWorker(WorkerId id);

@@ -22,8 +22,14 @@ Manager::Manager(std::shared_ptr<net::Transport> network, ManagerConfig config)
       config_(config),
       registry_(config.registry != nullptr ? config.registry
                                            : &serde::FunctionRegistry::Global()),
+      core_(config.scheduler),
       replicas_(config.worker_transfer_cap, config.manager_transfer_cap),
       slo_monitor_(config.slo) {
+  route_.unrunnable = [this](InvocationId id) { return FailUnrunnable(id); };
+  route_.narrow = [this](InvocationId id,
+                         std::vector<DispatchCandidate>& candidates) {
+    NarrowByRefs(id, candidates);
+  };
   if (config.telemetry != nullptr) {
     telemetry_ = config.telemetry;
   } else {
@@ -99,15 +105,8 @@ void Manager::Stop() {
   task_queue_.clear();
   for (auto& [_, running] : running_tasks_) cancel(running.task.future);
   running_tasks_.clear();
-  for (auto& [_, info] : libraries_) {
-    for (auto& call : info.queue) cancel(call.future);
-    info.queue.clear();
-  }
-  for (auto& [_, instance] : instances_) {
-    for (auto& [__, call] : instance.running) cancel(call.future);
-    instance.running.clear();
-  }
-  instances_.clear();
+  for (auto& [_, call] : calls_) cancel(call.future);  // queued and running
+  calls_.clear();
   for (auto& [_, broadcast] : broadcasts_) cancel(broadcast.future);
   broadcasts_.clear();
   if (status_query_.active) {
@@ -456,12 +455,11 @@ void Manager::HandleFrame(const net::Frame& frame) {
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, HelloMsg>) {
-          workers_.emplace(sender, WorkerState(msg.resources));
-          ring_.Add(sender);
+          core_.AddWorker(sender, msg.resources);
           telemetry_->flight.Record("worker-join", "", 0, sender);
           {
             std::lock_guard<std::mutex> lock(wait_mu_);
-            worker_count_ = workers_.size();
+            worker_count_ = core_.workers().size();
             wait_cv_.notify_all();
           }
           VLOG_INFO("manager") << "worker " << sender << " joined "
@@ -484,14 +482,7 @@ void Manager::HandleFrame(const net::Frame& frame) {
           if (it == running_tasks_.end()) return;  // stale (retried) result
           RunningTask running = std::move(it->second);
           running_tasks_.erase(it);
-          auto worker_it = workers_.find(running.worker);
-          if (worker_it != workers_.end()) {
-            worker_it->second.running_tasks.erase(msg.id);
-            Status released = worker_it->second.alloc.Release(running.claimed);
-            if (!released.ok()) {
-              VLOG_ERROR("manager") << "release: " << released.ToString();
-              }
-          }
+          core_.ReleaseTask(running.worker, msg.id);
           if (msg.ok) {
             auto value = serde::Value::FromBlob(msg.result);
             if (value.ok()) {
@@ -527,16 +518,14 @@ void Manager::HandleFrame(const net::Frame& frame) {
             FinishOne();
           }
         } else if constexpr (std::is_same_v<T, LibraryReadyMsg>) {
-          auto it = instances_.find(msg.instance_id);
-          if (it == instances_.end()) return;
           // A redelivered (duplicated) Ready must not re-count the deploy or
-          // re-add the gauge shares; a first Ready only arrives kInstalling.
-          if (it->second.state != InstanceState::kInstalling) return;
-          it->second.state = InstanceState::kReady;
-          it->second.context_memory = msg.context_memory_bytes;
-          it->second.ready_s = Now();
-          affinity_.Add(it->second.library, it->second.worker);
-          SyncAffinityGauge();
+          // re-add the gauge shares: the core takes it only from kInstalling.
+          if (!core_.Ready(msg.instance_id)) return;
+          const ControlCore::Instance& instance =
+              *core_.FindInstance(msg.instance_id);
+          InstanceInfo& info = instance_info_.at(msg.instance_id);
+          info.context_memory = msg.context_memory_bytes;
+          info.ready_s = Now();
           m_.libraries_deployed->Add();
           m_.libraries_active->Add(1);
           m_.retained_context_bytes->Add(
@@ -546,115 +535,83 @@ void Manager::HandleFrame(const net::Frame& frame) {
           m_.setup_deserialize_s->Set(msg.timing.deserialize_s);
           m_.setup_context_s->Set(msg.timing.context_s);
           m_.setup_exec_s->Set(msg.timing.exec_s);
-          VLOG_INFO("manager") << "library " << it->second.library << "#"
+          VLOG_INFO("manager") << "library " << instance.library << "#"
                                << msg.instance_id << " ready on worker "
-                               << it->second.worker;
-          FeedInstance(it->second);
+                               << instance.worker;
+          Carry(core_.Refill(msg.instance_id, route_));
         } else if constexpr (std::is_same_v<T, LibraryRemovedMsg>) {
-          auto it = instances_.find(msg.instance_id);
-          if (it == instances_.end()) return;
-          InstanceInfo instance = std::move(it->second);
-          instances_.erase(it);
-          // Draining instances left the affinity set when eviction began; a
-          // removal arriving in kReady (defensive) must drop its entry too.
-          if (instance.state == InstanceState::kReady) {
-            affinity_.Remove(instance.library, instance.worker);
-            SyncAffinityGauge();
-          }
-          auto worker_it = workers_.find(instance.worker);
-          if (worker_it != workers_.end()) {
-            worker_it->second.instances.erase(instance.id);
-            Status released = worker_it->second.alloc.Release(instance.claimed);
-            if (!released.ok()) {
-              VLOG_ERROR("manager") << "release: " << released.ToString();
-              }
-          }
-          if (instance.state == InstanceState::kDraining)
+          // The core drops the instance (and, if it was still kReady, its
+          // affinity entry) and releases its claim; a duplicate is a no-op.
+          auto removed = core_.Remove(msg.instance_id);
+          if (!removed) return;
+          auto info = instance_info_.extract(msg.instance_id);
+          if (removed->state == InstanceState::kReady ||
+              removed->state == InstanceState::kDraining)
             m_.libraries_active->Set(
                 std::max(0.0, m_.libraries_active->Value() - 1));
-          m_.retained_context_bytes->Set(
-              std::max(0.0, m_.retained_context_bytes->Value() -
-                                static_cast<double>(instance.context_memory)));
-          for (auto& [_, call] : instance.running) RequeueCall(std::move(call));
+          if (!info.empty())
+            m_.retained_context_bytes->Set(std::max(
+                0.0, m_.retained_context_bytes->Value() -
+                         static_cast<double>(info.mapped().context_memory)));
+          for (InvocationId id : removed->running) RequeueCall(calls_.at(id));
         } else if constexpr (std::is_same_v<T, InvocationDoneMsg>) {
           // The reply names its instance; a call that is no longer running
           // there (a late duplicate, or a reply from before a requeue) is
           // stale and ignored.
-          auto instance_it = instances_.find(msg.instance_id);
-          if (instance_it == instances_.end()) return;
-          InstanceInfo& instance = instance_it->second;
-          auto call_it = instance.running.find(msg.id);
-          if (call_it == instance.running.end()) return;
-          PendingCall call = std::move(call_it->second);
-          instance.running.erase(call_it);
-          if (instance.slots_in_use > 0) --instance.slots_in_use;
-          ++instance.served;
+          const ControlCore::Instance* instance =
+              core_.Finish(msg.instance_id, msg.id);
+          if (instance == nullptr) return;
+          const WorkerId worker = instance->worker;
+          auto call_it = calls_.find(msg.id);
+          PendingCall& call = call_it->second;
           // Feed the rolling latency window behind straggler detection.
-          auto lat_it = workers_.find(instance.worker);
-          if (lat_it != workers_.end()) {
-            auto& window = lat_it->second.invocation_latency_s;
-            window.push_back(Now() - call.queued_s);
-            if (window.size() > kLatencyWindow) window.pop_front();
-          }
-          if (msg.ok && msg.ref.valid()) {
-            // Pass-by-reference result: the payload stayed in the producing
-            // worker's store.  Record placement and resolve the future with
-            // the wrapped ref — the bytes never transit the manager.
-            SettleCallRefs(call);
-            refs_[msg.ref.id].size = msg.ref.size;
-            replicas_.AddReplica(msg.ref.id, instance.worker);
-            const double received_s = Now();
-            m_.invocations_completed->Add();
-            m_.ref_results->Add();
-            m_.ref_result_bytes->Add(msg.ref.size);
-            m_.invocation_roundtrip_s->Observe(Now() - call.submitted_s);
-            slo_monitor_.Record(instance.library, Now() - call.submitted_s,
-                                /*ok=*/true, Now());
-            telemetry_->tracer.EmitLinked(
-                msg.trace.valid() ? msg.trace : call.trace,
-                telemetry::Phase::kResult, "invocation", "manager", msg.id,
-                received_s, Now());
-            call.future->Resolve(
-                Outcome{WrapRef(msg.ref), msg.timing, instance.worker});
-            FinishOne();
-          } else if (msg.ok) {
-            auto value = serde::Value::FromBlob(msg.result);
-            if (value.ok()) {
+          auto& window = latency_s_[worker];
+          window.push_back(Now() - call.queued_s);
+          if (window.size() > kLatencyWindow) window.pop_front();
+          // Resolves the call.  As with tasks, metrics and spans land before
+          // the future resolves so a waiter's snapshot includes its own
+          // completion.
+          auto resolve = [&](Result<Outcome> outcome) {
+            slo_monitor_.Record(call.library, Now() - call.submitted_s,
+                                outcome.ok(), Now());
+            if (outcome.ok()) {
               const double received_s = Now();
-              // As with tasks: record before resolving the future.
               m_.invocations_completed->Add();
               m_.invocation_roundtrip_s->Observe(Now() - call.submitted_s);
-              slo_monitor_.Record(instance.library, Now() - call.submitted_s,
-                                  /*ok=*/true, Now());
               telemetry_->tracer.EmitLinked(
                   msg.trace.valid() ? msg.trace : call.trace,
                   telemetry::Phase::kResult, "invocation", "manager", msg.id,
                   received_s, Now());
-              SettleCallRefs(call);
-              call.future->Resolve(
-                  Outcome{std::move(*value), msg.timing, instance.worker});
-              FinishOne();
-            } else {
-              slo_monitor_.Record(instance.library, Now() - call.submitted_s,
-                                  /*ok=*/false, Now());
-              SettleCallRefs(call);
-              call.future->Resolve(value.status());
-              FinishOne();
             }
+            SettleCallRefs(call);
+            call.future->Resolve(std::move(outcome));
+            FinishOne();
+            calls_.erase(call_it);
+          };
+          if (msg.ok && msg.ref.valid()) {
+            // Pass-by-reference result: the payload stayed in the producing
+            // worker's store.  Record placement and resolve the future with
+            // the wrapped ref — the bytes never transit the manager.
+            refs_[msg.ref.id].size = msg.ref.size;
+            replicas_.AddReplica(msg.ref.id, worker);
+            m_.ref_results->Add();
+            m_.ref_result_bytes->Add(msg.ref.size);
+            resolve(Outcome{WrapRef(msg.ref), msg.timing, worker});
+          } else if (msg.ok) {
+            auto value = serde::Value::FromBlob(msg.result);
+            if (value.ok())
+              resolve(Outcome{std::move(*value), msg.timing, worker});
+            else
+              resolve(value.status());
           } else if (++call.attempts < config_.max_attempts) {
             m_.retries->Add();
             telemetry_->flight.Record("call-retry", msg.error,
-                                      call.trace.trace_id, msg.id,
-                                      instance.worker);
-            RequeueCall(std::move(call));
+                                      call.trace.trace_id, msg.id, worker);
+            RequeueCall(call);
           } else {
-            slo_monitor_.Record(instance.library, Now() - call.submitted_s,
-                                /*ok=*/false, Now());
-            SettleCallRefs(call);
-            call.future->Resolve(InternalError(msg.error));
-            FinishOne();
+            resolve(InternalError(msg.error));
           }
-          FeedInstance(instance);
+          Carry(core_.Refill(msg.instance_id, route_));
         } else if constexpr (std::is_same_v<T, BlobDataMsg>) {
           HandleManagerBlobData(std::move(msg));  // FetchRef materialization
         } else if constexpr (std::is_same_v<T, StatusReplyMsg>) {
@@ -672,7 +629,8 @@ void Manager::HandleCommand(Command command) {
         using T = std::decay_t<decltype(cmd)>;
         if constexpr (std::is_same_v<T, InstallCmd>) {
           const std::string name = cmd.spec.name;
-          libraries_[name].spec = std::move(cmd.spec);
+          core_.AddLibrary(name, cmd.spec.resources, cmd.spec.slots);
+          libraries_[name] = std::move(cmd.spec);
         } else if constexpr (std::is_same_v<T, TaskCmd>) {
           PendingTask task;
           // Split declared inputs: cached ones are staged per-worker, the
@@ -689,6 +647,8 @@ void Manager::HandleCommand(Command command) {
           task.future = std::move(cmd.future);
           task.submitted_s = cmd.submitted_s;
           task.queued_s = Now();
+          task.ring_key =
+              hash::ContentId::OfText(task.spec.function_name).Prefix64();
           // Root of the task's causal trace; every downstream span (staging,
           // worker execution, result) chains off this context.
           task.trace = telemetry_->tracer.StartTrace(
@@ -696,8 +656,7 @@ void Manager::HandleCommand(Command command) {
               cmd.submitted_s, task.queued_s);
           task_queue_.push_back(std::move(task));
         } else if constexpr (std::is_same_v<T, CallCmd>) {
-          auto it = libraries_.find(cmd.library);
-          if (it == libraries_.end()) {
+          if (!libraries_.contains(cmd.library)) {
             cmd.future->Resolve(
                 NotFoundError("library not installed: " + cmd.library));
             FinishOne();
@@ -715,13 +674,14 @@ void Manager::HandleCommand(Command command) {
               telemetry::Phase::kSubmit, "invocation", "manager", call.id,
               cmd.submitted_s, call.queued_s);
           RegisterRefArgs(call);
+          const InvocationId id = call.id;
+          calls_.emplace(id, std::move(call));
           // Affinity hit-rate: did this invocation arrive while some worker
           // already retained its library's context?
-          if (affinity_.CountFor(cmd.library) > 0)
+          if (core_.Submit(cmd.library, id))
             m_.affinity_hits->Add();
           else
             m_.affinity_misses->Add();
-          it->second.queue.push_back(std::move(call));
         } else if constexpr (std::is_same_v<T, BroadcastCmd>) {
           StartBroadcast(std::move(cmd));
         } else if constexpr (std::is_same_v<T, DisconnectCmd>) {

@@ -24,14 +24,14 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "common/clock.hpp"
 #include "core/blob_ref.hpp"
+#include "core/control_core.hpp"
 #include "core/future.hpp"
 #include "core/introspect.hpp"
 #include "core/protocol.hpp"
-#include "core/scheduler.hpp"
-#include "hash/hash_ring.hpp"
 #include "net/network.hpp"
 #include "poncho/analyzer.hpp"
 #include "serde/function_registry.hpp"
@@ -324,15 +324,6 @@ class Manager {
                    StatusCmd, QuiescenceCmd, FetchRefCmd, ReleaseRefCmd>;
 
   // ---- scheduler state (manager thread only) ----
-  struct WorkerState {
-    ResourceAllocator alloc;
-    std::set<LibraryInstanceId> instances;
-    std::set<TaskId> running_tasks;
-    /// Rolling window of invocation round-trip latencies (newest last,
-    /// capped at kLatencyWindow) feeding QueryStatus straggler detection.
-    std::deque<double> invocation_latency_s;
-    explicit WorkerState(Resources total) : alloc(total) {}
-  };
   static constexpr std::size_t kLatencyWindow = 64;
 
   struct PendingTask {
@@ -340,6 +331,7 @@ class Manager {
     std::vector<storage::FileDecl> inline_decls;
     FuturePtr future;
     int attempts = 0;
+    std::uint64_t ring_key = 0;  // hash of the function name, taken once
     double submitted_s = 0;  // telemetry clock at SubmitTask
     double queued_s = 0;     // telemetry clock at (re)enqueue
     /// Causal trace of this task; root span emitted at submit, advanced at
@@ -350,7 +342,6 @@ class Manager {
   struct RunningTask {
     PendingTask task;
     WorkerId worker = 0;
-    Resources claimed;
     std::size_t pending_files = 0;
     double staged_at = 0;  // telemetry clock when staging began
     double transfer_wait_s = 0;
@@ -372,24 +363,10 @@ class Manager {
     telemetry::TraceContext trace;
   };
 
-  struct LibraryInfo {
-    LibrarySpec spec;
-    std::deque<PendingCall> queue;
-  };
-
-  enum class InstanceState { kStaging, kInstalling, kReady, kDraining };
-
+  /// The manager's half of a library instance: staging, telemetry and
+  /// tracing.  Its control half (state, slots, calls) lives in core_.
   struct InstanceInfo {
-    LibraryInstanceId id = 0;
-    std::string library;
-    WorkerId worker = 0;
-    InstanceState state = InstanceState::kStaging;
-    Resources claimed;
-    std::uint32_t slots = 1;
-    std::uint32_t slots_in_use = 0;
     std::size_t pending_files = 0;
-    std::map<InvocationId, PendingCall> running;
-    std::uint64_t served = 0;
     std::uint64_t context_memory = 0;  // reported at LibraryReady
     double ready_s = 0;                // telemetry clock at LibraryReady
     /// Trace of the call that triggered this deployment; library staging and
@@ -476,20 +453,21 @@ class Manager {
   void HandleCommand(Command command);
   void TrySchedule();
   bool TryScheduleTask(PendingTask& task);
-  void TryScheduleLibrary(const std::string& library_name);
-  bool TryDispatchCall(LibraryInfo& info);
-  bool TryDeployInstance(const std::string& library_name);
-  bool TryEvictEmptyLibrary(const std::string& for_library);
 
-  /// Observable inputs to one autoscaling decision for `library_name`.
-  AutoscaleSignal BuildAutoscaleSignal(const std::string& library_name) const;
-  /// Moves up to min(free slots, max_batch) queued calls of the instance's
-  /// library onto it — one RunInvocationMsg when a single call fits, one
-  /// RunInvocationBatchMsg otherwise.  Returns the number dispatched.
-  std::size_t DispatchCallsTo(InstanceInfo& instance,
-                              std::deque<PendingCall>& queue);
-  /// Re-publishes the warm-instance gauge after an affinity mutation.
-  void SyncAffinityGauge();
+  /// Carries out the control core's decisions in order.
+  void Carry(const std::vector<ControlCore::Decision>& decisions);
+  /// Sends a dispatch decision's calls — one RunInvocationMsg when a single
+  /// call goes, one RunInvocationBatchMsg otherwise.
+  void SendCalls(const ControlCore::Decision& dispatch);
+  /// Stages a deployed instance's inputs, then installs it.
+  void StageInstance(const ControlCore::Decision& deploy);
+  /// RouteHooks::unrunnable: fails a queued call whose ref arguments lost
+  /// every replica (the producer already resolved, so it can never run).
+  bool FailUnrunnable(InvocationId id);
+  /// RouteHooks::narrow: keeps the warm instances whose workers hold the
+  /// most ref-argument bytes of the call.
+  void NarrowByRefs(InvocationId id,
+                    std::vector<DispatchCandidate>& candidates);
 
   /// Begins staging `decl` onto `worker` (or joins an in-flight transfer).
   /// Returns true if the file still needs to arrive (waiter recorded).
@@ -516,8 +494,7 @@ class Manager {
   void FinishBroadcast(std::map<hash::ContentId, BroadcastState>::iterator it);
   void ProbeBroadcasts();
   void DispatchTask(RunningTask& running);
-  void DispatchInstall(InstanceInfo& instance);
-  void FeedInstance(InstanceInfo& instance);
+  void DispatchInstall(LibraryInstanceId id);
 
   /// Send failures and Goodbyes enqueue here; ProcessDeadWorkers reaps them
   /// between event batches so no scheduling loop ever mutates the worker
@@ -530,10 +507,8 @@ class Manager {
   /// Staging instances are discarded; their calls stay queued and retry.
   void FailWaiter(const Waiter& waiter, const Status& status);
   void RunQuiescenceCheck(QuiescenceCmd cmd);
-  void ResolveTask(TaskId id, Result<Outcome> outcome);
-  void ResolveCall(InstanceInfo& instance, InvocationId id,
-                   Result<Outcome> outcome);
-  void RequeueCall(PendingCall call);
+  /// Puts a (still tabled) call back at the front of its library's queue.
+  void RequeueCall(PendingCall& call);
   void FinishOne();  // decrement outstanding + notify WaitAll
 
   // ---- pass-by-reference data plane (manager thread) ----
@@ -628,14 +603,18 @@ class Manager {
   std::atomic<std::uint64_t> next_invocation_id_{1};
 
   // ---- manager-thread-only state ----
-  std::map<WorkerId, WorkerState> workers_;
-  hash::HashRing ring_;
-  /// Which workers retain a ready instance of each library; every dispatch
-  /// routes through it and CheckQuiescent audits it against instances_.
-  AffinityIndex affinity_;
+  /// L3 control state and decisions: call queues, instances, per-worker
+  /// allocators, the ring and the affinity sets.
+  ControlCore core_;
+  ControlCore::RouteHooks route_;
+  /// Rolling window of invocation round-trip latencies per worker (newest
+  /// last, capped at kLatencyWindow) feeding QueryStatus straggler detection.
+  std::map<WorkerId, std::deque<double>> latency_s_;
   storage::ReplicaTable replicas_;
-  std::map<std::string, LibraryInfo> libraries_;
-  std::map<LibraryInstanceId, InstanceInfo> instances_;
+  std::map<std::string, LibrarySpec> libraries_;
+  /// Every call queued in or running on core_, by id.
+  std::unordered_map<InvocationId, PendingCall> calls_;
+  std::map<LibraryInstanceId, InstanceInfo> instance_info_;
   std::deque<PendingTask> task_queue_;
   std::map<TaskId, RunningTask> running_tasks_;
   std::map<TransferKey, Transfer> transfers_;
@@ -645,7 +624,6 @@ class Manager {
   /// FetchRef materializations awaiting a BlobDataMsg reply.
   std::map<hash::ContentId, ManagerFetch> manager_fetches_;
   std::set<WorkerId> pending_dead_;
-  LibraryInstanceId next_instance_id_ = 1;
   StatusQuery status_query_;
   /// Sliding-window SLO evaluator; fed on the manager thread at every
   /// invocation resolution, read by StartStatusQuery.

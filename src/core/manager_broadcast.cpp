@@ -144,11 +144,11 @@ void Manager::CompleteTransfer(WorkerId worker, const hash::ContentId& id,
                                 id.Prefix64(), transfer.started_s, Now());
   for (const Waiter& waiter : transfer.waiters) {
     if (waiter.is_instance) {
-      auto inst_it = instances_.find(waiter.id);
-      if (inst_it == instances_.end()) continue;
-      if (inst_it->second.pending_files > 0 &&
-          --inst_it->second.pending_files == 0)
-        DispatchInstall(inst_it->second);
+      auto info_it = instance_info_.find(waiter.id);
+      if (info_it == instance_info_.end()) continue;
+      if (info_it->second.pending_files > 0 &&
+          --info_it->second.pending_files == 0)
+        DispatchInstall(waiter.id);
     } else {
       auto task_it = running_tasks_.find(waiter.id);
       if (task_it == running_tasks_.end()) continue;
@@ -185,7 +185,7 @@ void Manager::StartBroadcast(BroadcastCmd cmd) {
   state.future = std::move(cmd.future);
   state.started_s = cmd.submitted_s;
   state.last_probe_s = Now();
-  for (const auto& [id, _] : workers_) state.order.push_back(id);
+  for (const auto& [id, _] : core_.workers()) state.order.push_back(id);
   if (state.order.empty()) {
     state.future->Resolve(Outcome{});  // no workers: trivially complete
     FinishOne();

@@ -42,8 +42,8 @@ void Manager::StartStatusQuery(StatusCmd cmd) {
   status.collected_s = Now();
   status.task_queue_depth = task_queue_.size();
   status.straggler_factor = config_.straggler_factor;
-  for (const auto& [name, info] : libraries_)
-    status.library_queues.push_back({name, info.queue.size()});
+  for (const auto& [name, library] : core_.libraries())
+    status.library_queues.push_back({name, library.queue.size()});
   status.scheduler.affinity_hits = m_.affinity_hits->Value();
   status.scheduler.affinity_misses = m_.affinity_misses->Value();
   status.scheduler.steals = m_.steals->Value();
@@ -57,7 +57,7 @@ void Manager::StartStatusQuery(StatusCmd cmd) {
     status.scheduler.max_batch_size =
         static_cast<std::uint64_t>(batches.max);
   }
-  for (const auto& [library, workers] : affinity_.table()) {
+  for (const auto& [library, workers] : core_.affinity().table()) {
     AffinitySetStatus set;
     set.library = library;
     for (const auto& [worker, count] : workers) set.workers.push_back(worker);
@@ -75,11 +75,14 @@ void Manager::StartStatusQuery(StatusCmd cmd) {
 
   // Skeleton per worker with the manager-side latency view; the wire reply
   // fills in the worker-side fields.
-  for (const auto& [id, state] : workers_) {
+  for (const auto& [id, _] : core_.workers()) {
     WorkerStatus w;
     w.id = id;
-    w.p95_latency_s = RollingP95(state.invocation_latency_s);
-    w.latency_samples = state.invocation_latency_s.size();
+    auto latency_it = latency_s_.find(id);
+    if (latency_it != latency_s_.end()) {
+      w.p95_latency_s = RollingP95(latency_it->second);
+      w.latency_samples = latency_it->second.size();
+    }
     status.workers.push_back(std::move(w));
     status_query_.awaiting.insert(id);
   }
@@ -183,69 +186,40 @@ void Manager::RunQuiescenceCheck(QuiescenceCmd cmd) {
   if (report.broadcasts != 0)
     violate(std::to_string(report.broadcasts) + " broadcasts still active");
 
-  for (const auto& [name, info] : libraries_) {
-    report.queued_calls += info.queue.size();
-    if (!info.queue.empty())
-      violate("library " + name + " still has " +
-              std::to_string(info.queue.size()) + " queued calls");
-  }
+  // The control core audits its own half: queues, instances (settled, no
+  // calls in flight, linked to their workers), affinity sets, the warm count
+  // and per-worker claims.
+  const ControlCore::AuditReport audit = core_.Audit();
+  report.queued_calls = audit.queued_calls;
+  report.instances = audit.instances;
+  report.running_invocations = audit.running_invocations;
+  report.affinity_entries = audit.affinity_entries;
+  for (const std::string& violation : audit.violations) violate(violation);
 
-  // Instances may legitimately outlive the workload (retained context is
-  // the point), but they must be settled: kReady, no running invocations,
-  // no claimed slots, nothing mid-stage.  Transitional states are reported
-  // so callers poll until removal/readiness lands.
-  report.instances = instances_.size();
-  std::size_t expected_active = 0;
+  // The manager's half of each instance.
   double expected_context_bytes = 0.0;
-  for (const auto& [id, instance] : instances_) {
-    const std::string label =
-        "instance " + instance.library + "#" + std::to_string(id);
-    report.running_invocations += instance.running.size();
-    if (!instance.running.empty())
-      violate(label + " still has " +
-              std::to_string(instance.running.size()) +
-              " running invocations");
-    if (instance.slots_in_use != instance.running.size())
-      violate(label + " slots_in_use=" +
-              std::to_string(instance.slots_in_use) + " but " +
-              std::to_string(instance.running.size()) +
-              " running invocations");
-    switch (instance.state) {
-      case InstanceState::kStaging:
-        violate(label + " still staging");
-        break;
-      case InstanceState::kInstalling:
-        violate(label + " still installing");
-        break;
-      case InstanceState::kDraining:
-        violate(label + " still draining");
-        break;
-      case InstanceState::kReady:
-        if (instance.pending_files != 0)
-          violate(label + " ready but pending_files=" +
-                  std::to_string(instance.pending_files));
-        break;
+  for (const auto& [id, info] : instance_info_) {
+    const ControlCore::Instance* instance = core_.FindInstance(id);
+    if (instance == nullptr) {
+      violate("instance #" + std::to_string(id) +
+              " has staging state but no control state");
+      continue;
     }
-    if (instance.state == InstanceState::kReady ||
-        instance.state == InstanceState::kDraining) {
-      ++expected_active;
-      expected_context_bytes += static_cast<double>(instance.context_memory);
-    }
-    auto worker_it = workers_.find(instance.worker);
-    if (worker_it == workers_.end() ||
-        !worker_it->second.instances.contains(id))
-      violate(label + " not linked to worker " +
-              std::to_string(instance.worker));
+    if (instance->state == InstanceState::kReady && info.pending_files != 0)
+      violate("instance " + instance->library + "#" + std::to_string(id) +
+              " ready but pending_files=" + std::to_string(info.pending_files));
+    if (instance->state == InstanceState::kReady ||
+        instance->state == InstanceState::kDraining)
+      expected_context_bytes += static_cast<double>(info.context_memory);
   }
 
   // Gauges must equal the values recomputed from first principles.
   report.libraries_active_gauge =
       static_cast<std::uint64_t>(m_.libraries_active->Value());
-  if (m_.libraries_active->Value() !=
-      static_cast<double>(expected_active))
+  if (m_.libraries_active->Value() != static_cast<double>(audit.active))
     violate("libraries_active gauge = " +
             std::to_string(report.libraries_active_gauge) + " but " +
-            std::to_string(expected_active) + " ready/draining instances");
+            std::to_string(audit.active) + " ready/draining instances");
   report.retained_context_bytes_gauge =
       static_cast<std::uint64_t>(m_.retained_context_bytes->Value());
   if (m_.retained_context_bytes->Value() != expected_context_bytes)
@@ -255,88 +229,22 @@ void Manager::RunQuiescenceCheck(QuiescenceCmd cmd) {
             std::to_string(static_cast<std::uint64_t>(
                 expected_context_bytes)) +
             " bytes");
-
-  // Affinity sets must equal what the instance table implies: exactly one
-  // entry per kReady instance, keyed by its (library, worker).  A stale
-  // entry (e.g. left behind by a worker death) would route invocations at
-  // vanished context; a missing one hides warm capacity.
-  AffinityIndex expected_affinity;
-  for (const auto& [id, instance] : instances_)
-    if (instance.state == InstanceState::kReady)
-      expected_affinity.Add(instance.library, instance.worker);
-  for (const auto& [library, workers] : affinity_.table()) {
-    report.affinity_entries += workers.size();
-    const AffinityIndex::WorkerCounts* expected =
-        expected_affinity.Get(library);
-    for (const auto& [worker, count] : workers) {
-      std::uint32_t expected_count = 0;
-      if (expected != nullptr) {
-        auto expected_it = expected->find(worker);
-        if (expected_it != expected->end())
-          expected_count = expected_it->second;
-      }
-      if (expected_count == 0)
-        violate("stale affinity entry: " + library + " -> worker " +
-                std::to_string(worker) + " (no ready instance there)");
-      else if (expected_count != count)
-        violate("affinity count for " + library + " on worker " +
-                std::to_string(worker) + " = " + std::to_string(count) +
-                " but " + std::to_string(expected_count) +
-                " ready instances");
-    }
-  }
-  std::size_t expected_warm = 0;
-  for (const auto& [library, workers] : expected_affinity.table())
-    for (const auto& [worker, count] : workers) {
-      expected_warm += count;
-      if (!affinity_.Contains(library, worker))
-        violate("missing affinity entry: " + library + " -> worker " +
-                std::to_string(worker));
-    }
+  // This check may run between scheduling passes, so publish the core's
+  // count first; the audit above recounted it from the instance table.
+  m_.affinity_warm_instances->Set(static_cast<double>(core_.warm_instances()));
   report.affinity_warm_gauge =
       static_cast<std::uint64_t>(m_.affinity_warm_instances->Value());
-  if (m_.affinity_warm_instances->Value() !=
-      static_cast<double>(expected_warm))
+  if (m_.affinity_warm_instances->Value() != static_cast<double>(audit.warm))
     violate("affinity_warm_instances gauge = " +
             std::to_string(report.affinity_warm_gauge) + " but " +
-            std::to_string(expected_warm) + " ready instances");
+            std::to_string(audit.warm) + " ready instances");
 
-  // Per-worker accounting: the membership sets must be mirrored by the
-  // scheduler tables, and the recorded claims must exactly explain the
-  // allocator's non-free resources.
-  for (const auto& [worker_id, state] : workers_) {
-    const std::string label = "worker " + std::to_string(worker_id);
-    for (TaskId task_id : state.running_tasks)
+  // Task claims in the core must be mirrored by the manager's task table.
+  for (const auto& [worker_id, worker] : core_.workers())
+    for (const auto& [task_id, _] : worker.tasks)
       if (!running_tasks_.contains(task_id))
-        violate(label + " lists unknown running task " +
-                std::to_string(task_id));
-    for (LibraryInstanceId inst_id : state.instances)
-      if (!instances_.contains(inst_id))
-        violate(label + " lists unknown instance " +
-                std::to_string(inst_id));
-    Resources claimed{0, 0, 0};
-    auto add_claim = [&claimed](const Resources& r) {
-      claimed.cores += r.cores;
-      claimed.memory_mb += r.memory_mb;
-      claimed.disk_mb += r.disk_mb;
-    };
-    for (const auto& [_, running] : running_tasks_)
-      if (running.worker == worker_id) add_claim(running.claimed);
-    for (const auto& [_, instance] : instances_)
-      if (instance.worker == worker_id) add_claim(instance.claimed);
-    const Resources total = state.alloc.total();
-    const Resources expected_free{total.cores - claimed.cores,
-                                  total.memory_mb - claimed.memory_mb,
-                                  total.disk_mb - claimed.disk_mb};
-    if (claimed.cores > total.cores || claimed.memory_mb > total.memory_mb ||
-        claimed.disk_mb > total.disk_mb) {
-      violate(label + " oversubscribed: claims " + claimed.ToString() +
-              " of " + total.ToString());
-    } else if (!(state.alloc.free() == expected_free)) {
-      violate(label + " allocator free=" + state.alloc.free().ToString() +
-              " but recorded claims imply " + expected_free.ToString());
-    }
-  }
+        violate("worker " + std::to_string(worker_id) +
+                " lists unknown running task " + std::to_string(task_id));
 
   // Pass-by-reference audit: every tracked ref must still have a live
   // replica, and its consumer refcount must equal the consumers actually
@@ -344,14 +252,8 @@ void Manager::RunQuiescenceCheck(QuiescenceCmd cmd) {
   // about to fetch or pins it forever.  No FetchRef may be outstanding.
   report.refs_tracked = refs_.size();
   std::map<hash::ContentId, std::uint64_t> expected_consumers;
-  for (const auto& [name, info] : libraries_)
-    for (const auto& call : info.queue)
-      for (const RefArg& arg : call.ref_args)
-        ++expected_consumers[arg.ref.id];
-  for (const auto& [id, instance] : instances_)
-    for (const auto& [_, call] : instance.running)
-      for (const RefArg& arg : call.ref_args)
-        ++expected_consumers[arg.ref.id];
+  for (const auto& [_, call] : calls_)  // queued and running
+    for (const RefArg& arg : call.ref_args) ++expected_consumers[arg.ref.id];
   for (const auto& [id, info] : refs_) {
     report.ref_bytes += info.size;
     const std::string label = "ref " + id.ShortHex();

@@ -15,46 +15,21 @@ using namespace std::chrono_literals;
 // Fault handling.
 // ---------------------------------------------------------------------------
 
-void Manager::RequeueCall(PendingCall call) {
-  auto it = libraries_.find(call.library);
-  if (it == libraries_.end()) {
-    SettleCallRefs(call);
-    call.future->Resolve(NotFoundError("library vanished: " + call.library));
-    FinishOne();
-    return;
-  }
+void Manager::RequeueCall(PendingCall& call) {
   call.queued_s = Now();
-  it->second.queue.push_front(std::move(call));
+  core_.Requeue(call.library, call.id);
 }
 
 void Manager::FailWaiter(const Waiter& waiter, const Status& status) {
   if (waiter.is_instance) {
     // Discard the staging instance; its queued calls stay in the library
     // queue and redeploy elsewhere on the next scheduling pass.
-    auto inst_it = instances_.find(waiter.id);
-    if (inst_it == instances_.end()) return;
-    auto worker_it = workers_.find(inst_it->second.worker);
-    if (worker_it != workers_.end()) {
-      worker_it->second.instances.erase(inst_it->second.id);
-      Status released =
-          worker_it->second.alloc.Release(inst_it->second.claimed);
-      if (!released.ok()) {
-        VLOG_ERROR("manager") << "release: " << released.ToString();
-      }
-    }
-    instances_.erase(inst_it);
+    (void)core_.Remove(waiter.id);
+    instance_info_.erase(waiter.id);
   } else {
     auto task_it = running_tasks_.find(waiter.id);
     if (task_it == running_tasks_.end()) return;
-    auto worker_it = workers_.find(task_it->second.worker);
-    if (worker_it != workers_.end()) {
-      worker_it->second.running_tasks.erase(waiter.id);
-      Status released =
-          worker_it->second.alloc.Release(task_it->second.claimed);
-      if (!released.ok()) {
-        VLOG_ERROR("manager") << "release: " << released.ToString();
-      }
-    }
+    core_.ReleaseTask(task_it->second.worker, waiter.id);
     task_it->second.task.future->Resolve(status);
     FinishOne();
     running_tasks_.erase(task_it);
@@ -70,13 +45,16 @@ void Manager::ProcessDeadWorkers() {
 }
 
 void Manager::OnWorkerDead(WorkerId worker) {
-  auto it = workers_.find(worker);
-  if (it == workers_.end()) return;
+  if (!core_.workers().contains(worker)) return;
+  // The control core's death sweep: the worker's claims, ring points,
+  // instances and affinity entries go; its tasks and its instances' calls
+  // come back to be retried below.
+  ControlCore::WorkerLoss loss = core_.RemoveWorker(worker);
+  latency_s_.erase(worker);
   VLOG_INFO("manager") << "worker " << worker << " left ("
-                       << it->second.running_tasks.size() << " tasks, "
-                       << it->second.instances.size() << " instances)";
-  telemetry_->flight.Record("worker-dead", "", 0, worker,
-                            it->second.running_tasks.size());
+                       << loss.tasks.size() << " tasks, "
+                       << loss.instances.size() << " instances)";
+  telemetry_->flight.Record("worker-dead", "", 0, worker, loss.tasks.size());
   // A status query can't wait on a dead worker; drop its (never-arriving)
   // entry and finalize if it was the last one outstanding.
   if (status_query_.active && status_query_.awaiting.erase(worker) != 0) {
@@ -86,22 +64,15 @@ void Manager::OnWorkerDead(WorkerId worker) {
     if (status_query_.awaiting.empty()) FinalizeStatusQuery();
   }
 
-  const std::set<TaskId> dead_tasks = std::move(it->second.running_tasks);
-  const std::set<LibraryInstanceId> dead_instances =
-      std::move(it->second.instances);
-  workers_.erase(it);
-  ring_.Remove(worker);
-
   // Pass-by-reference recovery, part 1: consumers parked mid-fetch on the
   // dead replica would wait forever — cancel exactly the fetches whose
   // dispatch stamped this worker as the source.  The cancelled invocations
   // fail back to the manager, requeue, and re-dispatch against a surviving
   // replica (or fail with kDataLoss below if none is left).
-  for (auto& [_, instance] : instances_) {
-    if (instance.worker == worker) continue;  // dies with its worker below
+  for (const auto& [_, instance] : core_.instances()) {
     std::set<hash::ContentId> cancel;
-    for (const auto& [__, call] : instance.running)
-      for (const RefArg& arg : call.ref_args)
+    for (InvocationId id : instance.running)
+      for (const RefArg& arg : calls_.at(id).ref_args)
         if (arg.source == worker) cancel.insert(arg.ref.id);
     for (const hash::ContentId& id : cancel)
       (void)SendTo(instance.worker, CancelFetchMsg{id});
@@ -135,13 +106,9 @@ void Manager::OnWorkerDead(WorkerId worker) {
                                       f_it->second.ref.id.ShortHex()));
     f_it = manager_fetches_.erase(f_it);
   }
-  // Drop every affinity entry pointing at the dead worker — a stale entry
-  // here is exactly what the quiescence audit flags as a violation.
-  affinity_.RemoveWorker(worker);
-  SyncAffinityGauge();
   {
     std::lock_guard<std::mutex> lock(wait_mu_);
-    worker_count_ = workers_.size();
+    worker_count_ = core_.workers().size();
     wait_cv_.notify_all();
   }
 
@@ -190,7 +157,7 @@ void Manager::OnWorkerDead(WorkerId worker) {
 
   HandleBroadcastWorkerDeath(worker);
 
-  for (TaskId id : dead_tasks) {
+  for (TaskId id : loss.tasks) {
     auto task_it = running_tasks_.find(id);
     if (task_it == running_tasks_.end()) continue;
     PendingTask task = std::move(task_it->second.task);
@@ -205,11 +172,8 @@ void Manager::OnWorkerDead(WorkerId worker) {
     }
   }
 
-  for (LibraryInstanceId id : dead_instances) {
-    auto inst_it = instances_.find(id);
-    if (inst_it == instances_.end()) continue;
-    InstanceInfo instance = std::move(inst_it->second);
-    instances_.erase(inst_it);
+  for (const ControlCore::Instance& instance : loss.instances) {
+    auto info = instance_info_.extract(instance.id);
     // A draining instance was counted active at LibraryReady and its
     // LibraryRemovedMsg (the usual decrement point) will never arrive from
     // a dead worker — decrement here for both states or the gauge drifts.
@@ -217,17 +181,20 @@ void Manager::OnWorkerDead(WorkerId worker) {
         instance.state == InstanceState::kDraining)
       m_.libraries_active->Set(
           std::max(0.0, m_.libraries_active->Value() - 1));
-    m_.retained_context_bytes->Set(
-        std::max(0.0, m_.retained_context_bytes->Value() -
-                          static_cast<double>(instance.context_memory)));
-    for (auto& [_, call] : instance.running) {
+    if (!info.empty())
+      m_.retained_context_bytes->Set(std::max(
+          0.0, m_.retained_context_bytes->Value() -
+                   static_cast<double>(info.mapped().context_memory)));
+    for (InvocationId id : instance.running) {
+      PendingCall& call = calls_.at(id);
       if (++call.attempts < config_.max_attempts) {
         m_.retries->Add();
-        RequeueCall(std::move(call));
+        RequeueCall(call);
       } else {
         SettleCallRefs(call);
         call.future->Resolve(UnavailableError("worker died repeatedly"));
         FinishOne();
+        calls_.erase(id);
       }
     }
   }

@@ -73,11 +73,12 @@ WorkerId Manager::PickRefSource(const hash::ContentId& id,
                                 WorkerId target) const {
   // Nearest replica by hash ring: walk the ring from the content id and take
   // the first live holder other than the target itself.
-  for (WorkerId candidate : ring_.WalkFrom(id.Prefix64())) {
-    if (candidate == target) continue;
-    if (replicas_.HasReplica(id, candidate)) return candidate;
-  }
-  return 0;  // no live holder; the worker fails the fetch and the call retries
+  const auto holder =
+      core_.ring().FindFrom(id.Prefix64(), [&](WorkerId candidate) {
+        return candidate != target && replicas_.HasReplica(id, candidate);
+      });
+  // 0: no live holder; the worker fails the fetch and the call retries.
+  return holder.value_or(0);
 }
 
 void Manager::HandleFetchRefCmd(FetchRefCmd cmd) {
@@ -97,16 +98,20 @@ void Manager::HandleFetchRefCmd(FetchRefCmd cmd) {
 }
 
 bool Manager::AdvanceManagerFetch(ManagerFetch& fetch) {
-  for (WorkerId candidate : ring_.WalkFrom(fetch.ref.id.Prefix64())) {
-    if (fetch.tried.contains(candidate)) continue;
-    if (!replicas_.HasReplica(fetch.ref.id, candidate)) continue;
-    fetch.tried.insert(candidate);
-    if (SendTo(candidate, FetchBlobMsg{fetch.ref.id, 0, {}}).ok()) {
-      fetch.source = candidate;
+  // The next untried holder in ring order; a failed send tries the one after.
+  for (;;) {
+    const auto candidate = core_.ring().FindFrom(
+        fetch.ref.id.Prefix64(), [&](WorkerId worker) {
+          return !fetch.tried.contains(worker) &&
+                 replicas_.HasReplica(fetch.ref.id, worker);
+        });
+    if (!candidate) return false;
+    fetch.tried.insert(*candidate);
+    if (SendTo(*candidate, FetchBlobMsg{fetch.ref.id, 0, {}}).ok()) {
+      fetch.source = *candidate;
       return true;
     }
   }
-  return false;
 }
 
 void Manager::HandleManagerBlobData(BlobDataMsg msg) {

@@ -53,7 +53,7 @@ AutoscaleAction DecideAutoscale(const SchedulerConfig& config,
     // victim; a proven one is worth retaining for warm starts.  Callers
     // additionally gate eviction on the instance being idle and on another
     // library actually being starved.
-    if (signal.ready_instances > 0 && signal.share_value < config.share_floor)
+    if (signal.ready_instances > 0 && signal.share_value < kShareFloor)
       return AutoscaleAction::kEvict;
     return AutoscaleAction::kHold;
   }
@@ -80,7 +80,7 @@ AutoscaleAction DecideAutoscale(const SchedulerConfig& config,
 
   // Saturation override: an absolute backlog this deep always keeps at
   // least one deploy in flight, however tolerant the warm set is sized.
-  if (signal.queue_depth >= config.autoscale_queue_high &&
+  if (signal.queue_depth >= kAutoscaleQueueHigh &&
       signal.pending_instances == 0)
     return AutoscaleAction::kDeploy;
 

@@ -1,15 +1,14 @@
-// Context-affinity scheduling policy, shared by the live Manager and the
-// discrete-event simulator.
+// Context-affinity scheduling policy: the pure decision components that
+// core::ControlCore (control_core.hpp) applies for both the live Manager and
+// the discrete-event simulator.
 //
 // The paper's retention argument (§3.4) only pays off if invocations are
-// routed to workers that already hold the library's context.  This header
-// factors the scheduling *decisions* out of the manager event loop into
-// pure, deterministic components so the exact same policy runs in the real
-// runtime and bit-identically inside the DES (`src/sim`):
+// routed to workers that already hold the library's context.  These pieces
+// are pure and deterministic — no clock, no randomness:
 //
 //  * AffinityIndex — per-library affinity sets: which workers currently
-//    retain a ready instance of each library.  Kept in sync with deploy /
-//    evict / death events by the owner; audited by CheckQuiescent().
+//    retain a ready instance of each library.  ControlCore keeps it in
+//    step with its instance table; its Audit() checks it.
 //  * PickLeastLoaded — route an invocation to the least-loaded affine
 //    instance (most free slots, ties broken by lowest instance id so the
 //    choice is deterministic).
@@ -36,23 +35,22 @@ struct SchedulerConfig {
   /// than one per queued invocation; below the threshold the backlog drains
   /// through the affinity set.
   std::size_t steal_threshold = 4;
-
-  /// Absolute queue depth at which the autoscaler keeps at least one deploy
-  /// in flight no matter how large the tolerated per-instance backlog is:
-  /// sustained starvation always gets capacity on the way.
-  std::size_t autoscale_queue_high = 16;
-
-  /// Fig-11 share-value floor (invocations served per warm instance).  An
-  /// idle library below the floor never amortized its deploys and is a
-  /// preferred eviction victim when another library starves for capacity;
-  /// one at or above the floor is retained longest, because evicting it
-  /// destroys exactly the amortization Fig 11 measures.
-  double share_floor = 4.0;
-
-  /// Maximum invocations folded into one RunInvocationBatchMsg.  1 disables
-  /// batching (every dispatch uses the legacy RunInvocationMsg path).
-  std::uint32_t max_batch = 16;
 };
+
+/// Absolute queue depth at which the autoscaler keeps at least one deploy
+/// in flight no matter how large the tolerated per-instance backlog is:
+/// sustained starvation always gets capacity on the way.
+inline constexpr std::size_t kAutoscaleQueueHigh = 16;
+
+/// Fig-11 share-value floor (invocations served per warm instance).  An
+/// idle library below the floor never amortized its deploys and is a
+/// preferred eviction victim when another library starves for capacity;
+/// one at or above the floor is retained longest, because evicting it
+/// destroys exactly the amortization Fig 11 measures.
+inline constexpr double kShareFloor = 4.0;
+
+/// Maximum invocations folded into one RunInvocationBatchMsg.
+inline constexpr std::uint32_t kMaxBatch = 16;
 
 /// Per-library affinity sets: library -> { worker -> ready instance count }.
 /// Counts (not booleans) because a worker may host several instances of the
@@ -89,9 +87,8 @@ class AffinityIndex {
   std::map<std::string, WorkerCounts> table_;
 };
 
-/// Inputs to one autoscaling decision for one library.  All fields are
-/// observable in both the runtime manager and the DES, which is what makes
-/// the policy mirrorable.
+/// Inputs to one autoscaling decision for one library, as ControlCore
+/// observes them.
 struct AutoscaleSignal {
   std::size_t queue_depth = 0;        // invocations waiting for this library
   std::size_t ready_instances = 0;    // warm instances (affinity set size)
@@ -109,8 +106,7 @@ struct AutoscaleSignal {
 
 enum class AutoscaleAction : std::uint8_t { kHold = 0, kDeploy, kEvict };
 
-/// Pure decision function — no side effects, no clock, no randomness — so
-/// the runtime and the simulator agree bit-for-bit on every decision.
+/// Pure decision function — no side effects, no clock, no randomness.
 AutoscaleAction DecideAutoscale(const SchedulerConfig& config,
                                 const AutoscaleSignal& signal);
 
@@ -121,7 +117,7 @@ struct DispatchCandidate {
 };
 
 /// Least-loaded pick: most free slots wins; ties break toward the lowest
-/// instance id so runtime and simulator make identical choices.  Returns
+/// instance id, so the choice is deterministic.  Returns
 /// the index into `candidates`, or npos when empty / no free slots.
 std::size_t PickLeastLoaded(const DispatchCandidate* candidates,
                             std::size_t count);

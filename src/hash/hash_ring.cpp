@@ -1,5 +1,7 @@
 #include "hash/hash_ring.hpp"
 
+#include <set>
+
 #include "hash/sha256.hpp"
 
 namespace vinelet::hash {
@@ -39,7 +41,7 @@ bool HashRing::Contains(std::uint64_t member_id) const {
 
 std::optional<std::uint64_t> HashRing::Owner(std::uint64_t key) const {
   if (ring_.empty()) return std::nullopt;
-  auto it = ring_.lower_bound(Mix(key, 0x5EEDu));
+  auto it = ring_.lower_bound(Mix(key, kWalkSeed));
   if (it == ring_.end()) it = ring_.begin();
   return it->second;
 }
@@ -54,23 +56,11 @@ std::optional<std::uint64_t> HashRing::Owner(const std::string& key) const {
 std::vector<std::uint64_t> HashRing::WalkFrom(std::uint64_t key) const {
   std::vector<std::uint64_t> order;
   order.reserve(members_.size());
-  if (ring_.empty()) return order;
-  auto it = ring_.lower_bound(Mix(key, 0x5EEDu));
-  const std::size_t total = ring_.size();
-  for (std::size_t seen = 0; seen < total && order.size() < members_.size();
-       ++seen) {
-    if (it == ring_.end()) it = ring_.begin();
-    const std::uint64_t member = it->second;
-    bool duplicate = false;
-    for (auto existing : order) {
-      if (existing == member) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) order.push_back(member);
-    ++it;
-  }
+  std::set<std::uint64_t> seen;
+  FindFrom(key, [&](std::uint64_t member) {
+    if (seen.insert(member).second) order.push_back(member);
+    return order.size() == members_.size();
+  });
   return order;
 }
 

@@ -34,15 +34,30 @@ class HashRing {
   std::optional<std::uint64_t> Owner(std::uint64_t key) const;
   std::optional<std::uint64_t> Owner(const std::string& key) const;
 
-  /// Members in ring order starting at the owner of `key`, deduplicated —
-  /// the scheduler walks this sequence looking for a worker with capacity.
+  /// Members in ring order starting at the owner of `key`, deduplicated.
   std::vector<std::uint64_t> WalkFrom(std::uint64_t key) const;
+
+  /// The first member in WalkFrom(key) order for which `fits(member)` holds,
+  /// or nullopt.  Placement callers stop at the first fit, so this walks the
+  /// ring points lazily instead of building the whole order; a member that
+  /// failed once is asked again at its later points (`fits` must be pure).
+  template <typename Fits>
+  std::optional<std::uint64_t> FindFrom(std::uint64_t key, Fits&& fits) const {
+    if (ring_.empty()) return std::nullopt;
+    auto it = ring_.lower_bound(Mix(key, kWalkSeed));
+    for (std::size_t seen = 0; seen < ring_.size(); ++seen, ++it) {
+      if (it == ring_.end()) it = ring_.begin();
+      if (fits(it->second)) return it->second;
+    }
+    return std::nullopt;
+  }
 
   /// All member ids, sorted.
   std::vector<std::uint64_t> Members() const;
 
  private:
   static std::uint64_t Mix(std::uint64_t member_id, unsigned replica);
+  static constexpr unsigned kWalkSeed = 0x5EEDu;  // key -> ring point
 
   unsigned vnodes_;
   std::map<std::uint64_t, std::uint64_t> ring_;  // point -> member

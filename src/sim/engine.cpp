@@ -25,7 +25,8 @@ VineSim::VineSim(SimConfig config, std::vector<InvocationSpec> invocations)
     : config_(config),
       invocations_(std::move(invocations)),
       rng_(config.seed),
-      fault_(config.fault) {
+      fault_(config.fault),
+      core_(config.scheduler) {
   sharedfs_bw_ = std::make_unique<FairShareResource>(
       &sim_, config_.cluster.sharedfs_bandwidth_Bps,
       config_.cluster.sharedfs_per_stream_Bps);
@@ -50,6 +51,21 @@ VineSim::VineSim(SimConfig config, std::vector<InvocationSpec> invocations)
         &sim_, config_.cluster.local_disk_Bps);
     workers_.push_back(std::move(worker));
   }
+  if (config_.level != core::ReuseLevel::kL3) return;
+  // L3: every worker offers its slots to library instances of `k` slots.
+  const std::uint32_t k = std::max(1u, config_.library_slots);
+  for (std::size_t w = 0; w < workers_.size(); ++w)
+    core_.AddWorker(ControlId(w), core::Resources{workers_[w].slots, 0, 0});
+  std::size_t libraries = 0;
+  for (const InvocationSpec& spec : invocations_)
+    libraries = std::max(libraries, spec.library + 1);
+  for (std::size_t lib = 0; lib < libraries; ++lib) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "lib%06zu", lib);
+    library_names_.emplace_back(name);
+    core_.AddLibrary(library_names_.back(), core::Resources{k, 0, 0}, k);
+  }
+  instance_of_.assign(invocations_.size(), 0);
 }
 
 int VineSim::LevelNumber(core::ReuseLevel level) {
@@ -168,10 +184,17 @@ SimResult VineSim::Run() {
 }
 
 void VineSim::Enqueue(std::size_t invocation) {
-  if (config_.level == core::ReuseLevel::kL3)
-    lib_pending_[invocations_[invocation].library].push_back(invocation);
-  else
+  if (config_.level != core::ReuseLevel::kL3) {
     pending_.push_back(invocation);
+    return;
+  }
+  // Affinity hit-rate, counted as the Manager counts it: did the call
+  // arrive while some worker retained its library's context?
+  const std::string& library = library_names_[invocations_[invocation].library];
+  if (core_.Submit(library, invocation))
+    ++result_.affinity_hits;
+  else
+    ++result_.affinity_misses;
 }
 
 void VineSim::PumpDispatch() {
@@ -310,8 +333,10 @@ void VineSim::FetchRefArgs(std::size_t worker_index, std::uint64_t generation,
     holders.push_back({worker_index, generation});
   }
   const double begin = sim_.Now();
-  auto done = [this, invocation, begin, then = std::move(then)] {
-    if (config_.track_trace)
+  auto done = [this, worker_index, generation, invocation, begin,
+               then = std::move(then)] {
+    // A lost attempt adds nothing: its call may already be running again.
+    if (config_.track_trace && WorkerValid(worker_index, generation))
       phases_[invocation].transfer_s += sim_.Now() - begin;
     then();
   };
@@ -354,7 +379,8 @@ void VineSim::RecordProducedResult(std::size_t worker_index,
 double VineSim::Contention(const SimWorker& worker, double beta) const {
   // Library instances mid-setup occupy their slots as much as running
   // invocations do, so a rollout's concurrent setups contend too.
-  const std::uint32_t busy = worker.active + worker.deploying;
+  const std::size_t busy =
+      worker.active + core_.PendingOn(ControlId(worker.node.index));
   if (worker.slots <= 1 || busy <= 1) return 1.0;
   const double co_located = static_cast<double>(busy - 1) /
                             static_cast<double>(worker.slots - 1);
@@ -526,152 +552,62 @@ void VineSim::RunL2(SimWorker& worker, std::size_t invocation,
 }
 
 // ---------------------------------------------------------------------------
-// L3 library scheduling: the same pure policy functions the live Manager
-// runs (core/scheduler.hpp), driven by the DES event loop, so one (config,
-// workload) pair produces identical scheduling decisions in both backends —
-// just at 10k-worker scale here.
+// L3 library scheduling: core::ControlCore decides — the control core the
+// live Manager drives — and the DES carries the decisions out in virtual
+// time.  An eviction's removal is reported at once (the fluid model has no
+// LibraryRemoved round trip), and the next pass may deploy into the room.
 // ---------------------------------------------------------------------------
 
 void VineSim::PumpLibraries() {
-  // Set once a deploy and an evict have both failed.  Neither outcome
-  // depends on the library asking: room is per worker, and the victims are
-  // the idle instances of libraries with empty queues.  So every later
-  // library fails the same way, until a dispatch empties a queue and leaves
-  // an idle instance behind (a new victim).
-  bool no_capacity = false;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto& [lib, queue] : lib_pending_) {
-      if (queue.empty()) continue;
-      if (ScheduleLibrary(lib, &no_capacity)) progress = true;
-      if (no_capacity && queue.empty() && HasIdleInstance(lib))
-        no_capacity = false;
+  for (auto decisions = core_.Pump(); !decisions.empty();
+       decisions = core_.Pump())
+    Carry(decisions);
+}
+
+void VineSim::Carry(const std::vector<core::ControlCore::Decision>& decisions) {
+  using Kind = core::ControlCore::Decision::Kind;
+  for (const core::ControlCore::Decision& decision : decisions) {
+    switch (decision.kind) {
+      case Kind::kDispatch:
+        DispatchBatch(decision);
+        break;
+      case Kind::kDeploy:
+        ++result_.autoscale_deploys;
+        if (decision.steal) ++result_.steals;
+        StartDeploy(decision);
+        break;
+      case Kind::kEvict:
+        core_.Remove(decision.instance);
+        if (active_libraries_ > 0) --active_libraries_;
+        ++result_.autoscale_evicts;
+        break;
     }
   }
 }
 
-bool VineSim::HasIdleInstance(std::size_t lib) const {
-  const auto* warm = affinity_.Get(LibKey(lib));
-  if (warm == nullptr) return false;
-  const std::uint32_t k = std::max(1u, config_.library_slots);
-  for (const auto& [id, _] : *warm) {
-    const SimWorker& worker = workers_[static_cast<std::size_t>(id - 1)];
-    auto it = worker.libs.find(lib);
-    if (worker.alive && it != worker.libs.end() && it->second.free_slots >= k)
-      return true;
-  }
-  return false;
-}
-
-core::AutoscaleSignal VineSim::BuildSimSignal(std::size_t lib) const {
-  core::AutoscaleSignal signal;
-  auto queue_it = lib_pending_.find(lib);
-  if (queue_it != lib_pending_.end())
-    signal.queue_depth = queue_it->second.size();
-  const std::uint32_t k = std::max(1u, config_.library_slots);
-  std::uint64_t served = 0;
-  for (const auto& worker : workers_) {
-    if (!worker.alive) continue;
-    if ((worker.libraries + worker.deploying) * k + k <= worker.slots)
-      ++signal.workers_with_room;
-    auto it = worker.libs.find(lib);
-    if (it == worker.libs.end()) continue;
-    signal.ready_instances += it->second.instances;
-    signal.free_slots += it->second.free_slots;
-    signal.pending_instances += it->second.deploying;
-    signal.pending_slots += it->second.deploying * k;
-    served += it->second.served;
-  }
-  if (signal.ready_instances > 0)
-    signal.share_value = static_cast<double>(served) /
-                         static_cast<double>(signal.ready_instances);
-  return signal;
-}
-
-bool VineSim::ScheduleLibrary(std::size_t lib, bool* no_capacity) {
-  auto& queue = lib_pending_[lib];
-  bool any = false;
-  while (!queue.empty()) {
-    // Route to the least-loaded warm slot via the shared decision function,
-    // same tie-break as Manager::TryDispatchCall.  The affinity set lists
-    // the workers retaining `lib` in worker order.
-    std::vector<core::DispatchCandidate> candidates;
-    if (const auto* warm = affinity_.Get(LibKey(lib))) {
-      for (const auto& [id, _] : *warm) {
-        const std::size_t w = static_cast<std::size_t>(id - 1);
-        if (!workers_[w].alive) continue;
-        auto it = workers_[w].libs.find(lib);
-        if (it == workers_[w].libs.end() || it->second.free_slots == 0)
-          continue;
-        candidates.push_back(
-            {static_cast<std::uint64_t>(w), it->second.free_slots});
-      }
-    }
-    const std::size_t pick =
-        core::PickLeastLoaded(candidates.data(), candidates.size());
-    if (pick != core::kNoCandidate) {
-      DispatchBatchTo(
-          static_cast<std::size_t>(candidates[pick].instance_id), lib);
-      any = true;
-      continue;
-    }
-    if (*no_capacity) break;
-    if (core::DecideAutoscale(config_.scheduler, BuildSimSignal(lib)) !=
-        core::AutoscaleAction::kDeploy)
-      break;
-    if (TryDeploySim(lib)) {
-      ++result_.autoscale_deploys;
-      any = true;
-      continue;
-    }
-    // No worker has room: reclaim an idle library (§3.5.2).  Eviction is
-    // instantaneous in the fluid model, so retry the deploy right away
-    // (the runtime instead waits for LibraryRemoved and re-enters here).
-    if (TryEvictIdleSim(lib)) {
-      any = true;
-      continue;
-    }
-    *no_capacity = true;
-    break;
-  }
-  return any;
-}
-
-void VineSim::DispatchBatchTo(std::size_t worker_index, std::size_t lib) {
-  SimWorker& worker = workers_[worker_index];
-  auto& state = worker.libs[lib];
-  auto& queue = lib_pending_[lib];
-  const std::size_t max_batch =
-      std::max<std::uint32_t>(1, config_.scheduler.max_batch);
-  const std::size_t take = std::min(
-      {queue.size(), static_cast<std::size_t>(state.free_slots), max_batch});
-  std::vector<std::size_t> batch;
-  batch.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    batch.push_back(queue.front());
-    queue.pop_front();
-  }
-  state.free_slots -= static_cast<std::uint32_t>(take);
-  result_.affinity_hits += take;
+void VineSim::DispatchBatch(const core::ControlCore::Decision& dispatch) {
+  const std::size_t worker_index = dispatch.worker - 1;
+  const std::size_t take = dispatch.calls.size();
   ++result_.dispatch_batches;
   result_.dispatch_batched_invocations += take;
   result_.dispatch_max_batch =
       std::max<std::uint64_t>(result_.dispatch_max_batch, take);
 
   const double popped_s = sim_.Now();
-  for (std::size_t invocation : batch) TraceSubmit(invocation, popped_s);
+  for (std::size_t invocation : dispatch.calls) {
+    TraceSubmit(invocation, popped_s);
+    instance_of_[invocation] = dispatch.instance;
+  }
   // One manager service for the whole batch: the full per-message dispatch
   // cost once, then the calibrated marginal cost per extra batched item —
   // the protocol amortization RunInvocationBatchMsg buys.
-  const WorkloadCosts& costs = *invocations_[batch.front()].costs;
+  const WorkloadCosts& costs = *invocations_[dispatch.calls.front()].costs;
   const double dispatch_s = costs.ManagerFor(config_.level).dispatch_s;
   const double service_s =
-      dispatch_s *
-      (1.0 + config_.batch_item_cost_factor * static_cast<double>(take - 1));
-  const std::uint64_t generation = worker.generation;
+      dispatch_s * (1.0 + kBatchItemCostFactor * static_cast<double>(take - 1));
+  const std::uint64_t generation = workers_[worker_index].generation;
   manager_->Enqueue(service_s, [this, worker_index, generation,
-                                batch = std::move(batch), popped_s] {
+                                batch = dispatch.calls, popped_s] {
     for (std::size_t invocation : batch) {
       trace_ctx_[invocation] =
           TraceSpan(trace_ctx_[invocation], telemetry::Phase::kDispatch,
@@ -686,7 +622,6 @@ void VineSim::RunL3(SimWorker& w, std::size_t invocation, double started) {
   const std::size_t worker_index = w.node.index;
   const std::uint64_t generation = w.generation;
   const WorkloadCosts& costs = *invocations_[invocation].costs;
-  const std::size_t lib = invocations_[invocation].library;
   const double over_cpu = costs.invocation_overhead_s;
   const double exec_cpu = costs.exec_cpu_s *
                           invocations_[invocation].exec_scale *
@@ -696,7 +631,7 @@ void VineSim::RunL3(SimWorker& w, std::size_t invocation, double started) {
   const double exec_d = exec_cpu / w.node.speed;
   CpuPhase(w, over_cpu + exec_cpu,
            [this, worker_index, generation, invocation, started, over_d,
-            exec_d, lib] {
+            exec_d] {
              if (WorkerValid(worker_index, generation)) {
                const double end = sim_.Now();
                const std::string track =
@@ -712,43 +647,15 @@ void VineSim::RunL3(SimWorker& w, std::size_t invocation, double started) {
                  phases_[invocation].setup_s += over_d;
                  phases_[invocation].exec_s += exec_d;
                }
-               auto& state = workers_[worker_index].libs[lib];
-               ++state.free_slots;
-               ++state.served;
              }
              CompleteOnWorker(worker_index, generation, invocation, started);
            });
 }
 
-bool VineSim::TryDeploySim(std::size_t lib) {
-  const std::uint32_t k = std::max(1u, config_.library_slots);
-  // Deterministic target: most uncommitted slots, ties to the lowest worker
-  // index.  (The runtime walks its hash ring; both orders are
-  // deterministic, which is what the decision-mirror tests rely on.)
-  std::size_t best = workers_.size();
-  std::uint32_t best_room = 0;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    const SimWorker& worker = workers_[w];
-    if (!worker.alive) continue;
-    const std::uint32_t committed = (worker.libraries + worker.deploying) * k;
-    if (committed + k > worker.slots) continue;
-    const std::uint32_t room = worker.slots - committed;
-    if (best == workers_.size() || room > best_room) {
-      best = w;
-      best_room = room;
-    }
-  }
-  if (best == workers_.size()) return false;
-
-  SimWorker& worker = workers_[best];
-  const core::WorkerId affinity_id = static_cast<core::WorkerId>(best + 1);
-  if (affinity_.CountFor(LibKey(lib)) > 0 &&
-      !affinity_.Contains(LibKey(lib), affinity_id))
-    ++result_.steals;
-  ++result_.affinity_misses;  // the backlog outran warm capacity
-  ++worker.deploying;
-  ++worker.libs[lib].deploying;
-  const std::uint64_t generation = worker.generation;
+void VineSim::StartDeploy(const core::ControlCore::Decision& deploy) {
+  const std::size_t best = deploy.worker - 1;
+  const core::LibraryInstanceId id = deploy.instance;
+  const std::uint64_t generation = workers_[best].generation;
   // The deploy is its own causal trace, as the runtime's install is: a
   // zero-length dispatch span on the worker track opens it, the env
   // transfer and unpack chain off it when this deploy is the one that
@@ -761,91 +668,48 @@ bool VineSim::TryDeploySim(std::size_t lib) {
                 telemetry::Phase::kDispatch, "library", track, best,
                 sim_.Now(), sim_.Now());
   // Stage the (shared) environment, then pay the per-instance context
-  // setup.
+  // setup.  A worker death on the way has already dropped the instance.
   EnsureEnv(best, generation, trace,
-            [this, best, generation, lib, k, trace, track] {
+            [this, best, generation, id, trace, track] {
     if (!WorkerValid(best, generation)) return;
+    core_.Installing(id);
     SimWorker& w2 = workers_[best];
     const WorkloadCosts& costs = *invocations_.front().costs;
     const double setup_cpu = costs.context_setup_cpu_s *
                              Contention(w2, costs.contention_beta_context);
     const double setup_begin = sim_.Now();
     CpuPhase(w2, setup_cpu,
-             [this, best, generation, lib, k, trace, track, setup_begin] {
+             [this, best, generation, id, trace, track, setup_begin] {
       if (!WorkerValid(best, generation)) return;
-      SimWorker& w3 = workers_[best];
-      if (w3.deploying > 0) --w3.deploying;
-      auto& state = w3.libs[lib];
-      if (state.deploying > 0) --state.deploying;
       if (config_.fault.worker.setup_failure_p > 0.0 &&
           fault_.InjectSetupFailure(best + 1)) {
-        // Setup burned its time and failed; queue pressure re-triggers the
-        // autoscaler on the next pump.
+        // Setup burned its time and failed: the runtime's worker reports
+        // the removal, and queue pressure re-triggers the autoscaler.
+        core_.Remove(id);
         PumpDispatch();
         return;
       }
       // Chain off the env unpack when this deploy staged the env itself.
+      const SimWorker& w3 = workers_[best];
       TraceSpan(w3.env_trace.trace_id == trace.trace_id ? w3.env_trace : trace,
                 telemetry::Phase::kContextSetup, "library", track, best,
                 setup_begin, sim_.Now());
-      ++w3.libraries;
-      ++state.instances;
-      state.free_slots += k;
-      affinity_.Add(LibKey(lib), static_cast<core::WorkerId>(best + 1));
+      core_.Ready(id);
       ++result_.libraries_deployed_total;
       ++active_libraries_;
       result_.libraries_peak_active =
           std::max(result_.libraries_peak_active, active_libraries_);
+      Carry(core_.Refill(id));
       PumpDispatch();
     });
   });
-  return true;
 }
 
-bool VineSim::TryEvictIdleSim(std::size_t for_lib) {
-  const std::uint32_t k = std::max(1u, config_.library_slots);
-  // Fig 11 eviction order, as in Manager::TryEvictEmptyLibrary: among
-  // fully idle instances of other (queue-empty) libraries, prefer those
-  // DecideAutoscale flags as victims (share value below the floor), then
-  // the least-served.
-  std::size_t victim_worker = workers_.size();
-  std::size_t victim_lib = 0;
-  bool victim_preferred = false;
-  std::uint64_t victim_served = 0;
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    SimWorker& worker = workers_[w];
-    if (!worker.alive) continue;
-    for (auto& [lib, state] : worker.libs) {
-      if (lib == for_lib) continue;
-      if (state.instances == 0) continue;
-      if (state.free_slots < k) continue;  // no fully idle instance here
-      auto queue_it = lib_pending_.find(lib);
-      if (queue_it != lib_pending_.end() && !queue_it->second.empty())
-        continue;
-      const bool preferred =
-          core::DecideAutoscale(config_.scheduler, BuildSimSignal(lib)) ==
-          core::AutoscaleAction::kEvict;
-      if (victim_worker == workers_.size() ||
-          (preferred && !victim_preferred) ||
-          (preferred == victim_preferred && state.served < victim_served)) {
-        victim_worker = w;
-        victim_lib = lib;
-        victim_preferred = preferred;
-        victim_served = state.served;
-      }
-    }
-  }
-  if (victim_worker == workers_.size()) return false;
-  SimWorker& worker = workers_[victim_worker];
-  auto& state = worker.libs[victim_lib];
-  --state.instances;
-  state.free_slots -= k;
-  if (worker.libraries > 0) --worker.libraries;
-  affinity_.Remove(LibKey(victim_lib),
-                   static_cast<core::WorkerId>(victim_worker + 1));
-  if (active_libraries_ > 0) --active_libraries_;
-  ++result_.autoscale_evicts;
-  return true;
+void VineSim::RequeueFront(std::size_t invocation) {
+  ++result_.requeued_invocations;
+  if (config_.track_trace) phases_[invocation] = PhaseAccum{};
+  queued_at_[invocation] = sim_.Now();
+  core_.Requeue(library_names_[invocations_[invocation].library], invocation);
 }
 
 // ---------------------------------------------------------------------------
@@ -1048,17 +912,29 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
     return;
   }
   SimWorker& worker = workers_[worker_index];
+  const bool l3 = config_.level == core::ReuseLevel::kL3;
   // L3 tracks capacity through per-library instance slots instead of the
-  // round-robin worker slot pool.
-  if (config_.level != core::ReuseLevel::kL3) ++worker.free_slots;
+  // round-robin worker slot pool: the call's reply frees its slot.
+  const core::LibraryInstanceId instance = l3 ? instance_of_[invocation] : 0;
+  if (l3)
+    core_.Finish(instance, invocation);
+  else
+    ++worker.free_slots;
   if (worker.active > 0) --worker.active;
   const net::WorkerFaults& wf = config_.fault.worker;
   if (wf.invocation_failure_p > 0.0 || wf.task_failure_p > 0.0) {
     // L3 runs library invocations; L1/L2 run ordinary tasks — each draws
     // from its own per-worker hook stream, matching the runtime.
-    const bool failed = config_.level == core::ReuseLevel::kL3
-                            ? fault_.InjectInvocationFailure(worker_index + 1)
-                            : fault_.InjectTaskFailure(worker_index + 1);
+    const bool failed = l3 ? fault_.InjectInvocationFailure(worker_index + 1)
+                           : fault_.InjectTaskFailure(worker_index + 1);
+    if (failed && l3) {
+      // As the Manager retries a failed reply: front of the queue, then
+      // refill the instance whose slot freed.
+      RequeueFront(invocation);
+      Carry(core_.Refill(instance));
+      PumpDispatch();
+      return;
+    }
     if (failed) {
       Requeue(invocation);
       return;
@@ -1109,10 +985,14 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
     PumpDispatch();
   });
   });
-  PumpDispatch();  // the freed slot can take new work immediately
+  // The freed slot can take new work immediately: at L3 its own instance
+  // refills first, as the Manager's does on each reply.
+  if (l3) Carry(core_.Refill(instance));
+  PumpDispatch();
 }
 
 void VineSim::Requeue(std::size_t invocation) {
+  if (config_.level == core::ReuseLevel::kL3) return;  // swept at death
   ++result_.requeued_invocations;
   if (config_.track_trace) phases_[invocation] = PhaseAccum{};
   queued_at_[invocation] = sim_.Now();
@@ -1138,19 +1018,25 @@ void VineSim::KillWorkerNow(std::size_t worker_index) {
   if (!worker.alive) return;
   worker.alive = false;
   ++result_.worker_deaths;
-  active_libraries_ -= worker.libraries;
-  worker.libraries = 0;
-  worker.deploying = 0;
-  worker.libs.clear();
-  affinity_.RemoveWorker(static_cast<core::WorkerId>(worker_index + 1));
+  // The control core's death sweep, as the Manager's: instances and their
+  // affinity go, and their in-flight calls return to the queue fronts.
+  const core::ControlCore::WorkerLoss loss =
+      core_.RemoveWorker(ControlId(worker_index));
+  for (const core::ControlCore::Instance& instance : loss.instances) {
+    if (instance.state == core::InstanceState::kReady ||
+        instance.state == core::InstanceState::kDraining)
+      --active_libraries_;
+    for (std::size_t invocation : instance.running) RequeueFront(invocation);
+  }
   worker.active = 0;
   worker.env = SimWorker::Env::kAbsent;
-  // Fire pending env waiters: each observes the dead worker and requeues
-  // its invocation.  In-flight compute/transfer phases requeue lazily when
-  // they observe the generation change.
+  // Fire pending env waiters: each observes the dead worker (an L2 task
+  // requeues; an L3 deploy just ends).  In-flight L1/L2 phases requeue
+  // lazily when they observe the generation change.
   auto waiters = std::move(worker.env_waiters);
   worker.env_waiters.clear();
   for (auto& fn : waiters) fn();
+  if (!loss.instances.empty()) PumpDispatch();  // re-place requeued calls
   sim_.After(config_.worker_respawn_delay_s, [this, worker_index] {
     if (done_) return;
     SimWorker& w = workers_[worker_index];
@@ -1158,6 +1044,8 @@ void VineSim::KillWorkerNow(std::size_t worker_index) {
     ++w.generation;
     w.free_slots = w.slots;
     w.active = 0;
+    if (config_.level == core::ReuseLevel::kL3)
+      core_.AddWorker(ControlId(worker_index), core::Resources{w.slots, 0, 0});
     // Churn chains re-arm on respawn; one-shot scheduled kills do not.
     if (config_.worker_mean_lifetime_s > 0.0) ScheduleDeath(worker_index);
     PumpDispatch();

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "core/scheduler.hpp"
+#include "core/control_core.hpp"
 #include "core/types.hpp"
 #include "net/fault.hpp"
 #include "sim/cluster.hpp"
@@ -121,10 +121,9 @@ struct SimConfig {
   /// model carries no individual messages.
   net::FaultPlan fault;
 
-  /// L3 scheduling knobs.  Every L3 invocation runs through the same
-  /// per-library affinity routing, threshold-gated stealing, and
-  /// closed-loop autoscaler the live Manager runs, through the identical
-  /// pure decision functions in core/scheduler.hpp.  L1/L2 tasks ignore it.
+  /// L3 scheduling knobs.  Every L3 invocation is queued, routed, and its
+  /// library deployed and evicted by core::ControlCore, the same control
+  /// core the live Manager drives.  L1/L2 tasks ignore it.
   core::SchedulerConfig scheduler;
 
   /// Pass-by-reference data-plane mirror.  false (by value, the default):
@@ -138,12 +137,6 @@ struct SimConfig {
   /// runtime's FileReady announcement).  Workloads with no produces_bytes /
   /// consumes edges are bit-identical under both settings.
   bool ref_results = false;
-
-  /// Marginal manager cost of each invocation after the first inside one
-  /// RunInvocationBatch dispatch, as a fraction of the per-message
-  /// dispatch_s.  Calibrate against the batched-vs-unbatched encode pair in
-  /// bench_micro_primitives; 1.0 disables the batching advantage.
-  double batch_item_cost_factor = 0.25;
 
   /// Optional telemetry sink.  When its tracer is enabled the simulator
   /// emits the same phase spans as the real runtime (submit, dispatch,
@@ -162,6 +155,12 @@ struct SimConfig {
   /// reproduce their metrics files bit-identically.
   telemetry::TimeSeriesStore* timeseries = nullptr;
 };
+
+/// Marginal manager cost of each invocation after the first inside one
+/// RunInvocationBatch dispatch, as a fraction of the per-message dispatch_s.
+/// Calibrated against the batched-vs-unbatched encode pair in
+/// bench_micro_primitives.
+inline constexpr double kBatchItemCostFactor = 0.25;
 
 struct SimResult {
   double makespan = 0.0;
@@ -189,9 +188,9 @@ struct SimResult {
   std::uint64_t injected_task_failures = 0;
   std::uint64_t injected_stragglers = 0;
 
-  // Affinity-scheduling mirror counters (L3 only).
-  std::uint64_t affinity_hits = 0;    // invocations routed into a warm slot
-  std::uint64_t affinity_misses = 0;  // deploys forced by a cold backlog
+  // Affinity-scheduling counters (L3 only), as the Manager counts them.
+  std::uint64_t affinity_hits = 0;    // submitted while the library was warm
+  std::uint64_t affinity_misses = 0;  // submitted while it was cold
   std::uint64_t steals = 0;           // deploys onto non-affine workers
   std::uint64_t autoscale_deploys = 0;
   std::uint64_t autoscale_evicts = 0;
@@ -234,6 +233,9 @@ class VineSim {
   /// Runs to completion and returns the collected metrics.
   SimResult Run();
 
+  /// The L3 control core (call queues, instances, placement), for audits.
+  const core::ControlCore& control() const { return core_; }
+
  private:
   struct SimWorker {
     SimWorkerNode node;
@@ -251,23 +253,12 @@ class VineSim {
     /// transfer and unpack spans.
     telemetry::TraceContext env_trace;
     std::unique_ptr<FairShareResource> disk;
-    std::uint32_t libraries = 0;  // deployed instances (L3)
-    std::uint32_t deploying = 0;  // instances mid-setup
-    /// Per-library instance state (the aggregate counters above track
-    /// totals for capacity accounting).
-    struct LibState {
-      std::uint32_t instances = 0;   // ready instances of the library here
-      std::uint32_t deploying = 0;   // instances mid-setup
-      std::uint32_t free_slots = 0;  // idle slots across ready instances
-      std::uint64_t served = 0;      // completions here (share value input)
-    };
-    std::map<std::size_t, LibState> libs;
     bool alive = true;
     std::uint64_t generation = 0;  // incremented on respawn
   };
 
-  /// Queues `invocation` for dispatch: the round-robin task queue at L1/L2,
-  /// its library's queue at L3.
+  /// Submits `invocation`: to the round-robin task queue at L1/L2, to its
+  /// library's queue in the control core at L3.
   void Enqueue(std::size_t invocation);
   void PumpDispatch();
   void StartOnWorker(std::size_t worker_index, std::uint64_t generation,
@@ -289,25 +280,19 @@ class VineSim {
                             std::size_t invocation,
                             std::function<void()> retrieve);
 
-  // --- L3 library scheduling mirror (core/scheduler.hpp policy) ---
-  /// Library key into the shared AffinityIndex (workers are 1-based there,
-  /// matching runtime endpoint ids).
-  static std::string LibKey(std::size_t lib) { return std::to_string(lib); }
+  // --- L3: carrying out core::ControlCore's decisions ---
   void PumpLibraries();
-  /// Mirrors Manager::TryScheduleLibrary: drain the library's queue through
-  /// warm slots, then close the loop via DecideAutoscale.  Returns true if
-  /// any invocation was dispatched or capacity change was initiated.
-  /// `*no_capacity` true skips the deploy/evict attempts, known to fail;
-  /// it is set when both fail.
-  bool ScheduleLibrary(std::size_t lib, bool* no_capacity);
-  /// True when an alive worker holds a fully idle instance of `lib`.
-  bool HasIdleInstance(std::size_t lib) const;
-  core::AutoscaleSignal BuildSimSignal(std::size_t lib) const;
-  /// Pops up to min(queue, free slots, max_batch) invocations onto the
-  /// chosen worker as one batched dispatch message.
-  void DispatchBatchTo(std::size_t worker_index, std::size_t lib);
-  bool TryDeploySim(std::size_t lib);
-  bool TryEvictIdleSim(std::size_t for_lib);
+  void Carry(const std::vector<core::ControlCore::Decision>& decisions);
+  /// One manager service for the whole batch, then each call starts on the
+  /// instance's worker.
+  void DispatchBatch(const core::ControlCore::Decision& dispatch);
+  /// Stages the environment, then pays the instance's context setup.
+  void StartDeploy(const core::ControlCore::Decision& deploy);
+  /// Puts a lost or failed L3 call back at the front of its library's queue.
+  void RequeueFront(std::size_t invocation);
+  static core::WorkerId ControlId(std::size_t worker_index) {
+    return static_cast<core::WorkerId>(worker_index + 1);
+  }
   void RunL1(SimWorker& worker, std::size_t invocation, double started);
   void RunL2(SimWorker& worker, std::size_t invocation, double started);
   /// Invocation against a warm instance slot of its library.
@@ -366,6 +351,8 @@ class VineSim {
   /// task/invocation failure rate before recording the result.
   void FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
                       std::size_t invocation, double started);
+  /// The attempt was lost with its worker.  L1/L2 requeue it (at the back);
+  /// at L3 the worker-death sweep has already put it back.
   void Requeue(std::size_t invocation);
   /// Virtual-time sampling chain for SimConfig::timeseries: one SampleAt
   /// per window, rescheduled while invocations remain (the chain must not
@@ -392,10 +379,14 @@ class VineSim {
 
   std::vector<SimWorker> workers_;
   std::deque<std::size_t> pending_;  // L1/L2 tasks awaiting dispatch
-  /// L3: per-library FIFO queues (mirrors the manager's per-library
-  /// PendingCall queues).
-  std::map<std::size_t, std::deque<std::size_t>> lib_pending_;
-  core::AffinityIndex affinity_;
+  /// L3: library queues, instances, per-worker slots (1-based worker ids,
+  /// matching runtime endpoints) and the placement decisions.
+  core::ControlCore core_;
+  /// Control-core name of each library index (zero-padded, so name order
+  /// is index order).
+  std::vector<std::string> library_names_;
+  /// L3: the instance each dispatched invocation runs on.
+  std::vector<core::LibraryInstanceId> instance_of_;
   std::size_t rr_cursor_ = 0;
   bool done_ = false;  // all invocations completed: stop churn chains
 

@@ -729,6 +729,36 @@ TEST_F(ChaosTest, DuplicatedFramesDoNotDoubleCount) {
             sizeof(NumberContext));
 }
 
+TEST_F(ChaosTest, RemovalOfAReadyInstanceLeavesGaugesExact) {
+  // A LibraryRemovedMsg can reach the manager for an instance it still holds
+  // as ready (the chaos soak met one at seed 4 under ASan/UBSan timing).
+  // The removal must take the instance out of libraries_active like any
+  // other, or the gauge stays one too high for good.
+  StartCluster(1);
+  auto spec = manager_->CreateLibraryFromFunctions(
+      "dropped", {"use_context"}, "number_setup",
+      Value::Dict({{"number", Value(40)}}));
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
+  ASSERT_TRUE(manager_
+                  ->SubmitCall("dropped", "use_context",
+                               Value::Dict({{"x", Value(2)}}))
+                  ->Wait()
+                  .ok());
+  ASSERT_EQ(manager_->metrics().libraries_active, 1u);
+
+  // The only instance deployed so far has id 1.
+  WireFrame wire = EncodeFrame(LibraryRemovedMsg{1});
+  ASSERT_TRUE(cluster_->transport()
+                  .Send(factory_->WorkerIds().front(), net::kManagerEndpoint,
+                        std::move(wire.payload), std::move(wire.attachment))
+                  .ok());
+  const QuiescenceReport report = WaitQuiescent();
+  EXPECT_TRUE(report.quiescent) << report.ToString();
+  EXPECT_EQ(report.instances, 0u);
+  EXPECT_EQ(manager_->metrics().libraries_active, 0u);
+}
+
 TEST_F(ChaosTest, DuplicatedBatchFramesResolveEachItemOnce) {
   // Deliver every frame twice (dup_p = 1): the batched dispatch arrives
   // twice at the worker and every per-item InvocationDoneMsg arrives twice

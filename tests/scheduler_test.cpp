@@ -145,7 +145,7 @@ TEST(DecideAutoscaleTest, QueueHighKeepsOneDeployInFlight) {
   SchedulerConfig config;
   config.steal_threshold = 100;  // tolerated backlog far above the queue
   AutoscaleSignal signal;
-  signal.queue_depth = config.autoscale_queue_high;
+  signal.queue_depth = kAutoscaleQueueHigh;
   signal.ready_instances = 1;
   signal.pending_instances = 0;
   signal.workers_with_room = 0;

@@ -139,6 +139,37 @@ TEST(VineSimTest, LibrarySlotStrategyControlsInstanceCount) {
   EXPECT_EQ(deployed(4), 5u * 4u);
 }
 
+TEST(VineSimTest, ControlCoreAuditCleanAfterL3Runs) {
+  // The L3 configurations of this suite, churn and multi-slot libraries
+  // included: once a run drains, the control core must be settled and
+  // consistent (no queued or running call, no instance in transit, affinity
+  // and per-worker claims equal to what the instance table implies).
+  const WorkloadCosts costs = LnniCosts(16);
+  struct Case {
+    std::size_t workers;
+    std::size_t invocations;
+    std::uint32_t library_slots;
+    double lifetime_s;
+  };
+  for (const Case& c : {Case{10, 500, 1, 0.0}, Case{5, 2000, 1, 0.0},
+                        Case{5, 1000, 4, 0.0}, Case{5, 1000, 16, 0.0},
+                        Case{4, 800, 16, 0.0}, Case{6, 1500, 1, 60.0},
+                        Case{6, 1500, 4, 60.0}}) {
+    SimConfig config = SmallConfig(core::ReuseLevel::kL3, c.workers);
+    config.library_slots = c.library_slots;
+    config.worker_mean_lifetime_s = c.lifetime_s;
+    config.worker_respawn_delay_s = 5.0;
+    VineSim sim(config, BuildLnniWorkload(costs, c.invocations));
+    const SimResult result = sim.Run();
+    ASSERT_EQ(result.invocations_completed, c.invocations);
+    const auto audit = sim.control().Audit();
+    EXPECT_TRUE(audit.violations.empty())
+        << c.workers << " workers, " << c.library_slots << " slots: "
+        << audit.violations.front();
+    EXPECT_EQ(audit.warm, result.libraries_peak_active > 0 ? audit.active : 0u);
+  }
+}
+
 TEST(VineSimTest, WholeWorkerLibrariesStillCompleteEverything) {
   const WorkloadCosts costs = LnniCosts(16);
   SimConfig config = SmallConfig(core::ReuseLevel::kL3, 4);
