@@ -325,7 +325,10 @@ SimOutcome RunSimSoak(std::uint64_t seed, bool smoke) {
   // Affinity leg: the Zipf mix exercises the per-library queues, the
   // affinity index, threshold-gated stealing and the autoscaler — the kill
   // stamps land while warm instances still hold entries, so replay also
-  // proves the index mutations themselves are deterministic.
+  // proves the index mutations themselves are deterministic.  Calls arrive
+  // open-loop (arrivals span 40 s in --smoke, 120 s in full, both past the
+  // 18 s kill), so later calls can find their library warm and the hit
+  // count the replay compares is not 0.
   sim::SimConfig affinity_config;
   affinity_config.level = core::ReuseLevel::kL3;
   affinity_config.cluster.num_workers = 6;
@@ -339,7 +342,7 @@ SimOutcome RunSimSoak(std::uint64_t seed, bool smoke) {
     Rng rng(seed);
     return sim::BuildZipfWorkload(costs, zipf_invocations, /*num_libraries=*/12,
                                   /*s=*/1.1, /*exec_sigma=*/0.2,
-                                  /*arrival_rate=*/0.0, rng);
+                                  /*arrival_rate=*/10.0, rng);
   };
   const sim::SimResult c = sim::VineSim(affinity_config, zipf()).Run();
   const sim::SimResult d = sim::VineSim(affinity_config, zipf()).Run();

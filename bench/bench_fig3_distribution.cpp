@@ -77,8 +77,8 @@ double SimDistributionS(std::size_t workers, unsigned fanout,
   config.cluster.manager_link_Bps = 3 * config.cluster.worker_link_Bps;
   config.env_fanout = fanout;
   config.env_chunk_bytes = chunk_bytes;
-  std::vector<sim::InvocationSpec> specs(4 * workers,
-                                         sim::InvocationSpec{&costs, 1.0, 0, 0.0, 0, {}});
+  std::vector<sim::InvocationSpec> specs(
+      4 * workers, sim::InvocationSpec{&costs, 1.0, 0, 0.0});
   return sim::VineSim(config, std::move(specs)).Run().env_last_transfer_done_s;
 }
 

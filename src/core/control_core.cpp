@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "hash/content_id.hpp"
 
@@ -29,6 +30,9 @@ ControlCore::WorkerLoss ControlCore::RemoveWorker(WorkerId worker) {
   }
   workers_.erase(it);
   ring_.Remove(worker);
+  std::erase_if(reserved_, [worker](const Reservation& reservation) {
+    return reservation.worker == worker;
+  });
   return loss;
 }
 
@@ -147,6 +151,8 @@ std::optional<ControlCore::Instance> ControlCore::Remove(
   if (worker_it != workers_.end()) {
     worker_it->second.instances.erase(id);
     (void)worker_it->second.alloc.Release(instance.claimed);  // as above
+    if (instance.state == InstanceState::kDraining)
+      reserved_.push_back({instance.evicted_for, instance.worker});
   }
   return std::move(instance);
 }
@@ -201,11 +207,19 @@ std::vector<ControlCore::Decision> ControlCore::Pump(const RouteHooks& hooks) {
   // clears the memo.  A later library with the same request would fail
   // both the same way, so skipping it changes no decision.
   std::optional<Resources> no_capacity;
-  for (auto& [name, library] : libraries_) {
-    if (library.queue.empty()) continue;
+  const auto serve = [&](const std::string& name, Library& library) {
+    if (library.queue.empty()) return;
     ServeQueue(name, library, hooks, no_capacity, out);
     if (library.queue.empty() && !library.idle.empty()) no_capacity.reset();
+  };
+  // §3.5.2 evicts an empty library for the function that starves: the room
+  // goes to that function first, ahead of spare-room expansion by whoever
+  // sorts earlier.  Its own verdict decides whether it still wants the room.
+  for (const Reservation& reservation : std::exchange(reserved_, {})) {
+    auto it = libraries_.find(reservation.library);
+    if (it != libraries_.end()) serve(it->first, it->second);
   }
+  for (auto& [name, library] : libraries_) serve(name, library);
   return out;
 }
 
@@ -333,6 +347,7 @@ bool ControlCore::Evict(const std::string& for_library,
   Library& library = libraries_.at(victim->library);
   Account(*victim, library, -1);
   victim->state = InstanceState::kDraining;
+  victim->evicted_for = for_library;
   Decision& evict = out.emplace_back();
   evict.kind = Decision::Kind::kEvict;
   evict.instance = victim->id;
@@ -389,6 +404,9 @@ ControlCore::AuditReport ControlCore::Audit() const {
       violate("library " + name + " still has " +
               std::to_string(library.queue.size()) + " queued calls");
   }
+  for (const Reservation& reservation : reserved_)
+    violate("room on worker " + std::to_string(reservation.worker) +
+            " still reserved for library " + reservation.library);
 
   // Instances may outlive the workload (retained context is the point),
   // but they must be settled: kReady, no running invocations, no claimed

@@ -52,6 +52,7 @@ class ControlCore {
     std::uint32_t slots_in_use = 0;
     std::uint64_t served = 0;  // calls finished here (Fig 11 share value)
     std::set<CallId> running;  // calls in flight, ascending id
+    std::string evicted_for;   // kDraining: the library that asked for room
   };
 
   struct Library {
@@ -162,7 +163,9 @@ class ControlCore {
   /// calls to the least-loaded warm instance; when none has a slot, ask the
   /// autoscaler, deploy on the first worker with room on the ring walk from
   /// the library's key, or else evict one idle instance of another library
-  /// and wait for its removal.
+  /// and wait for its removal.  A library whose eviction's removal has
+  /// landed since the last pass is served before the name-order pass, so
+  /// the room it freed goes to it if its own verdict still wants it.
   std::vector<Decision> Pump(const RouteHooks& hooks = {});
   /// Refills one ready instance from its library's queue (the slot that
   /// just freed, or the instance that just became ready).
@@ -188,10 +191,11 @@ class ControlCore {
   /// Staging or installing instances on `worker`.
   std::size_t PendingOn(WorkerId worker) const;
 
-  /// Audit of a settled core: nothing queued, running or in transit;
-  /// affinity, the warm count and the library sums equal to what the
-  /// instance table implies; per-worker claims (instances and tasks) that
-  /// exactly explain each allocator.  CheckQuiescent reports these texts.
+  /// Audit of a settled core: nothing queued, running, in transit or
+  /// reserved; affinity, the warm count and the library sums equal to what
+  /// the instance table implies; per-worker claims (instances and tasks)
+  /// that exactly explain each allocator.  CheckQuiescent reports these
+  /// texts.
   AuditReport Audit() const;
 
  private:
@@ -214,10 +218,17 @@ class ControlCore {
               std::vector<Decision>& out);
   bool Evict(const std::string& for_library, std::vector<Decision>& out);
 
+  /// Room an eviction freed for `library`, waiting for the next Pump.
+  struct Reservation {
+    std::string library;
+    WorkerId worker = 0;
+  };
+
   SchedulerConfig config_;
   std::map<std::string, Library> libraries_;
   std::map<LibraryInstanceId, Instance> instance_table_;
   std::map<WorkerId, Worker> workers_;
+  std::vector<Reservation> reserved_;  // in removal order
   hash::HashRing ring_;
   AffinityIndex affinity_index_;
   std::size_t warm_ = 0;

@@ -18,6 +18,10 @@
 
 namespace vinelet::core {
 
+/// A worker is flagged as a straggler when its rolling p95 invocation
+/// latency exceeds this multiple of the cluster median.
+inline constexpr double kStragglerFactor = 3.0;
+
 /// One worker's live state, merged from its StatusReplyMsg and the
 /// manager's own latency bookkeeping.
 struct WorkerStatus {
@@ -98,7 +102,7 @@ struct ClusterStatus {
   /// Median of the per-worker p95 latencies (0 with no samples), and the
   /// multiplier a worker's p95 must exceed it by to be flagged.
   double cluster_median_p95_s = 0.0;
-  double straggler_factor = 3.0;
+  double straggler_factor = kStragglerFactor;
   SchedulerStatus scheduler;
   /// Per-library SLO evaluation (empty when no targets are configured).
   std::vector<telemetry::SloSnapshot> slo;

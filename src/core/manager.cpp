@@ -23,7 +23,6 @@ Manager::Manager(std::shared_ptr<net::Transport> network, ManagerConfig config)
       registry_(config.registry != nullptr ? config.registry
                                            : &serde::FunctionRegistry::Global()),
       core_(config.scheduler),
-      replicas_(config.worker_transfer_cap, config.manager_transfer_cap),
       slo_monitor_(config.slo) {
   route_.unrunnable = [this](InvocationId id) { return FailUnrunnable(id); };
   route_.narrow = [this](InvocationId id,

@@ -43,10 +43,6 @@
 namespace vinelet::core {
 
 struct ManagerConfig {
-  /// Per-worker concurrent outbound transfer cap N (§3.3).
-  unsigned worker_transfer_cap = 3;
-  /// Manager concurrent sends of cached files (0 = unbounded).
-  unsigned manager_transfer_cap = 0;
   /// Enable worker-to-worker transfers (Fig 3b); off = Fig 3a.
   bool peer_transfers = true;
   /// Retries before a task/invocation fails permanently (worker churn).
@@ -57,9 +53,6 @@ struct ManagerConfig {
   /// subtree recovery for a worker that crashed after its chunks were
   /// accepted by the transport but before it confirmed.
   double broadcast_probe_s = 0.5;
-  /// A worker is flagged as a straggler by QueryStatus when its rolling p95
-  /// invocation latency exceeds this multiple of the cluster median.
-  double straggler_factor = 3.0;
   /// Context-affinity invocation routing + library autoscaling knobs.
   SchedulerConfig scheduler;
   /// Declarative per-library latency/goodput targets.  When any target is
@@ -187,7 +180,7 @@ class Manager {
   /// Resolves once every worker holds a verified replica; workers that die
   /// mid-broadcast are dropped, and their orphaned subtrees are re-fed
   /// directly from the manager.  `chunk_bytes` 0 = default (4 MB);
-  /// `fanout_cap` 0 = the configured worker_transfer_cap.
+  /// `fanout_cap` 0 = storage::kWorkerTransferCap, the §3.3 N.
   FuturePtr BroadcastFile(const storage::FileDecl& decl,
                           std::uint64_t chunk_bytes = 0,
                           unsigned fanout_cap = 0);
@@ -391,9 +384,6 @@ class Manager {
     storage::SourceChoice source;
     std::vector<Waiter> waiters;
     int attempts = 0;
-    /// False when parked because every source was saturated; retried from
-    /// TrySchedule.
-    bool started = true;
     double started_s = 0;  // telemetry clock when the send went out
     /// Trace of the first waiter; the transfer span and the worker-side
     /// admission span chain off it.
@@ -501,7 +491,6 @@ class Manager {
   /// table out from under itself.
   void ProcessDeadWorkers();
   void OnWorkerDead(WorkerId worker);
-  void StartParkedTransfers();
   /// Permanently fails one transfer waiter: unwinds the placement (worker
   /// sets, claimed resources) and, for task waiters, resolves the future.
   /// Staging instances are discarded; their calls stay queued and retry.

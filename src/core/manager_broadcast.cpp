@@ -26,20 +26,12 @@ bool Manager::StageFile(const storage::FileDecl& decl, WorkerId worker,
     return true;
   }
 
-  auto source = replicas_.PickSource(
-      decl.id, worker, config_.peer_transfers && decl.peer_transfer);
   Transfer transfer;
   transfer.decl = decl;
+  transfer.source = replicas_.PickSource(
+      decl.id, worker, config_.peer_transfers && decl.peer_transfer);
   transfer.waiters.push_back(waiter);
   transfer.trace = trace;  // first waiter owns the transfer's causality
-  if (!source.ok()) {
-    // All sources saturated: park the transfer; StartParkedTransfers retries
-    // as other transfers complete.  (Only possible with a finite manager cap.)
-    transfer.started = false;
-    transfers_.emplace(key, std::move(transfer));
-    return true;
-  }
-  transfer.source = *source;
   replicas_.BeginTransfer(transfer.source);
 
   transfer.started_s = Now();
@@ -70,34 +62,6 @@ bool Manager::StageFile(const storage::FileDecl& decl, WorkerId worker,
   return true;
 }
 
-void Manager::StartParkedTransfers() {
-  for (auto& [key, transfer] : transfers_) {
-    if (transfer.started) continue;
-    auto source = replicas_.PickSource(
-        transfer.decl.id, key.dest,
-        config_.peer_transfers && transfer.decl.peer_transfer);
-    if (!source.ok()) continue;  // still saturated
-    transfer.source = *source;
-    transfer.started = true;
-    transfer.started_s = Now();
-    replicas_.BeginTransfer(transfer.source);
-    if (transfer.source.from_manager) {
-      auto payload = manager_store_.Get(transfer.decl.id);
-      if (payload.ok()) {
-        m_.manager_transfers->Add();
-        m_.manager_transfer_bytes->Add(transfer.decl.size);
-        (void)SendTo(key.dest, PutFileMsg{transfer.decl, std::move(*payload),
-                                          transfer.trace});
-      }
-    } else {
-      m_.peer_transfers->Add();
-      m_.peer_transfer_bytes->Add(transfer.decl.size);
-      (void)SendTo(transfer.source.peer,
-                   PushFileMsg{transfer.decl, key.dest, transfer.trace});
-    }
-  }
-}
-
 void Manager::CompleteTransfer(WorkerId worker, const hash::ContentId& id,
                                bool success, const std::string& error) {
   const TransferKey key{worker, id};
@@ -115,20 +79,17 @@ void Manager::CompleteTransfer(WorkerId worker, const hash::ContentId& id,
     if (++transfer.attempts < config_.max_attempts) {
       // Retry from a fresh source (the failed peer may hold a corrupt or
       // evicted copy; the manager always has the original).
-      auto source =
+      transfer.source =
           replicas_.PickSource(id, worker, /*allow_peer_transfer=*/false);
-      if (source.ok()) {
-        transfer.source = *source;
-        replicas_.BeginTransfer(transfer.source);
-        auto payload = manager_store_.Get(id);
-        if (payload.ok()) {
-          (void)SendTo(worker, PutFileMsg{transfer.decl, std::move(*payload),
-                                          transfer.trace});
-          transfers_.emplace(key, std::move(transfer));
-          return;
-        }
-        replicas_.EndTransfer(transfer.source);
+      replicas_.BeginTransfer(transfer.source);
+      auto payload = manager_store_.Get(id);
+      if (payload.ok()) {
+        (void)SendTo(worker, PutFileMsg{transfer.decl, std::move(*payload),
+                                        transfer.trace});
+        transfers_.emplace(key, std::move(transfer));
+        return;
       }
+      replicas_.EndTransfer(transfer.source);
     }
     // Permanent failure: fail task waiters; discard staging instances.
     const Status fail_status =
@@ -195,7 +156,7 @@ void Manager::StartBroadcast(BroadcastCmd cmd) {
   storage::BroadcastParams params;
   params.num_workers = state.order.size();
   params.fanout_cap =
-      cmd.fanout_cap != 0 ? cmd.fanout_cap : config_.worker_transfer_cap;
+      cmd.fanout_cap != 0 ? cmd.fanout_cap : storage::kWorkerTransferCap;
   params.mode = storage::BroadcastMode::kSpanningTree;
   auto plan = storage::PlanPipelinedBroadcast(
       params, storage::ChunkParams{state.decl.size, state.chunk_bytes});

@@ -41,7 +41,6 @@ void Manager::StartStatusQuery(StatusCmd cmd) {
   ClusterStatus& status = status_query_.status;
   status.collected_s = Now();
   status.task_queue_depth = task_queue_.size();
-  status.straggler_factor = config_.straggler_factor;
   for (const auto& [name, library] : core_.libraries())
     status.library_queues.push_back({name, library.queue.size()});
   status.scheduler.affinity_hits = m_.affinity_hits->Value();

@@ -17,7 +17,6 @@ using namespace std::chrono_literals;
 // ---------------------------------------------------------------------------
 
 void Manager::TrySchedule() {
-  StartParkedTransfers();
   // Stateless tasks: first-fit in FIFO order with a single stable compaction
   // pass — scheduled tasks are dropped by moving the survivors forward once,
   // instead of an O(queue) mid-deque erase per placement (quadratic when a

@@ -251,129 +251,17 @@ void VineSim::StartOnWorker(std::size_t worker_index, std::uint64_t generation,
   SimWorker& worker = workers_[worker_index];
   ++worker.active;
   const double started = sim_.Now();
-  FetchRefArgs(worker_index, generation, invocation,
-               [this, worker_index, generation, invocation, started] {
-    if (!WorkerValid(worker_index, generation)) {
-      Requeue(invocation);
-      return;
-    }
-    SimWorker& w = workers_[worker_index];
-    switch (config_.level) {
-      case core::ReuseLevel::kL1:
-        RunL1(w, invocation, started);
-        break;
-      case core::ReuseLevel::kL2:
-        RunL2(w, invocation, started);
-        break;
-      case core::ReuseLevel::kL3:
-        RunL3(w, invocation, started);
-        break;
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Pass-by-reference data-plane mirror: produced results either stay pinned
-// on the producing worker (ref mode — consumers fetch peer-to-peer, as the
-// runtime's BlobRef/FetchBlob path) or relay through the manager uplink (by
-// value).  Everything below is a no-op for workloads without
-// produces_bytes/consumes edges, so established experiments reproduce
-// bit-identically.
-// ---------------------------------------------------------------------------
-
-void VineSim::FetchRefArgs(std::size_t worker_index, std::uint64_t generation,
-                           std::size_t invocation,
-                           std::function<void()> then) {
-  const InvocationSpec& spec = invocations_[invocation];
-  if (spec.consumes.empty()) {
-    then();
-    return;
+  switch (config_.level) {
+    case core::ReuseLevel::kL1:
+      RunL1(worker, invocation, started);
+      break;
+    case core::ReuseLevel::kL2:
+      RunL2(worker, invocation, started);
+      break;
+    case core::ReuseLevel::kL3:
+      RunL3(worker, invocation, started);
+      break;
   }
-  double p2p_bytes = 0.0;
-  double relay_bytes = 0.0;
-  for (std::size_t producer : spec.consumes) {
-    if (producer >= invocations_.size()) continue;
-    const std::uint64_t bytes = invocations_[producer].produces_bytes;
-    if (bytes == 0) continue;
-    if (!config_.ref_results) {
-      // By value the manager holds the payload inline; it is relayed again
-      // inside this consumer's arguments.
-      result_.manager_relayed_result_bytes += bytes;
-      relay_bytes += static_cast<double>(bytes);
-      continue;
-    }
-    auto& holders = ref_holders_[producer];
-    bool local = false;
-    bool have_source = false;
-    for (const RefHolder& holder : holders) {
-      if (!WorkerValid(holder.worker, holder.generation)) continue;
-      if (holder.worker == worker_index) {
-        local = true;
-        break;
-      }
-      have_source = true;
-    }
-    if (local) {
-      ++result_.ref_local_hits;
-      continue;
-    }
-    if (have_source) {
-      ++result_.ref_p2p_fetches;
-      result_.ref_p2p_fetch_bytes += bytes;
-      p2p_bytes += static_cast<double>(bytes);
-    } else {
-      // Every replica died before the fetch: re-materialize from the
-      // manager's cached copy (the runtime's FetchRef fallback).
-      ++result_.ref_manager_refetches;
-      result_.manager_relayed_result_bytes += bytes;
-      relay_bytes += static_cast<double>(bytes);
-    }
-    // The fetched copy is a replica too (the runtime's FileReady
-    // announcement after the consumer pins the payload).
-    holders.push_back({worker_index, generation});
-  }
-  const double begin = sim_.Now();
-  auto done = [this, worker_index, generation, invocation, begin,
-               then = std::move(then)] {
-    // A lost attempt adds nothing: its call may already be running again.
-    if (config_.track_trace && WorkerValid(worker_index, generation))
-      phases_[invocation].transfer_s += sim_.Now() - begin;
-    then();
-  };
-  auto cross_worker_link = [this, p2p_bytes, done = std::move(done)] {
-    if (p2p_bytes <= 0.0) {
-      done();
-      return;
-    }
-    sim_.After(p2p_bytes / config_.cluster.worker_link_Bps, std::move(done));
-  };
-  if (relay_bytes > 0.0)
-    manager_uplink_->Transfer(relay_bytes, std::move(cross_worker_link));
-  else
-    cross_worker_link();
-}
-
-void VineSim::RecordProducedResult(std::size_t worker_index,
-                                   std::uint64_t generation,
-                                   std::size_t invocation,
-                                   std::function<void()> retrieve) {
-  const std::uint64_t bytes = invocations_[invocation].produces_bytes;
-  if (bytes == 0) {
-    retrieve();
-    return;
-  }
-  if (config_.ref_results) {
-    // The payload stays pinned where it was produced; the retrieve carries
-    // only the ref metadata (InvocationDoneMsg.ref in the runtime).
-    ++result_.ref_results;
-    ref_holders_[invocation].push_back({worker_index, generation});
-    retrieve();
-    return;
-  }
-  // By value: the result bytes cross the manager uplink ahead of the
-  // retrieve, contending with environment seeding.
-  result_.manager_relayed_result_bytes += bytes;
-  manager_uplink_->Transfer(static_cast<double>(bytes), std::move(retrieve));
 }
 
 double VineSim::Contention(const SimWorker& worker, double beta) const {
@@ -555,7 +443,8 @@ void VineSim::RunL2(SimWorker& worker, std::size_t invocation,
 // L3 library scheduling: core::ControlCore decides — the control core the
 // live Manager drives — and the DES carries the decisions out in virtual
 // time.  An eviction's removal is reported at once (the fluid model has no
-// LibraryRemoved round trip), and the next pass may deploy into the room.
+// LibraryRemoved round trip), and the next pass offers the room to the
+// library that evicted for it first.
 // ---------------------------------------------------------------------------
 
 void VineSim::PumpLibraries() {
@@ -952,9 +841,6 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
   const WorkloadCosts& costs = *invocations_[invocation].costs;
   const double retrieve_s = costs.ManagerFor(config_.level).retrieve_s;
   const double retrieve_queued_s = sim_.Now();
-  RecordProducedResult(worker_index, generation, invocation,
-                       [this, run_time, invocation, retrieve_queued_s,
-                        retrieve_s] {
   manager_->Enqueue(retrieve_s, [this, run_time, invocation,
                                  retrieve_queued_s] {
     trace_ctx_[invocation] =
@@ -983,7 +869,6 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
       result_.avg_share_value.Add(completed, completed / deployed);
     }
     PumpDispatch();
-  });
   });
   // The freed slot can take new work immediately: at L3 its own instance
   // refills first, as the Manager's does on each reply.

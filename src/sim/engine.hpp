@@ -11,7 +11,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -37,25 +36,12 @@ struct InvocationSpec {
   /// leave this 0; Zipf-popularity mixes spread it over many libraries so
   /// per-library affinity sets matter.
   std::size_t library = 0;
-  /// Virtual submission time.  0 (the default) submits at t=0 — the closed
-  /// batch every established workload uses, bit-identical to before the
-  /// field existed.  A positive value turns the run into an open system:
-  /// the invocation enters its queue at `arrival_s`, which is what makes
-  /// warm-context retention measurable (a drained queue may refill, so
-  /// evicting the wrong instance costs a future cold start).
+  /// Virtual submission time.  0 (the default) submits at t=0, the closed
+  /// batch of the figure workloads.  A positive value turns the run into an
+  /// open system: the invocation enters its queue at `arrival_s`, which is
+  /// what makes warm-context retention measurable (a drained queue may
+  /// refill, so evicting the wrong instance costs a future cold start).
   double arrival_s = 0;
-  /// Result payload size this invocation produces for downstream consumers.
-  /// 0 (the default) means no data-plane edge leaves this invocation —
-  /// established workloads reproduce bit-identically.
-  std::uint64_t produces_bytes = 0;
-  /// DAG data edges: indices of producer invocations whose results this one
-  /// consumes.  Before the function body runs the consumer pays the mirror
-  /// of the runtime's argument materialization: a worker-to-worker fetch
-  /// hop (SimConfig::ref_results) or a manager relay (by value).  Producers
-  /// must complete before consumers are submitted (use arrival_s or keep
-  /// the workload closed with producers first — the fluid model does not
-  /// track future resolution, only data placement).
-  std::vector<std::size_t> consumes;
 };
 
 /// One completed invocation's lifecycle, for offline analysis.
@@ -99,8 +85,8 @@ struct SimConfig {
   /// Chunk size for pipelined (cut-through) env distribution: a replica
   /// begins serving peers as soon as its first chunk lands instead of after
   /// the whole tarball, so distribution makespan approaches
-  /// blob_time + depth × chunk_time.  0 = whole-blob store-and-forward
-  /// (the pre-pipelining behavior).  Only meaningful with peer_transfers.
+  /// blob_time + depth × chunk_time.  0 = whole-blob store-and-forward.
+  /// Only meaningful with peer_transfers.
   std::uint64_t env_chunk_bytes = 0;
 
   /// L3 only: invocation slots per library instance (§3.5.2).  The paper's
@@ -126,18 +112,6 @@ struct SimConfig {
   /// core the live Manager drives.  L1/L2 tasks ignore it.
   core::SchedulerConfig scheduler;
 
-  /// Pass-by-reference data-plane mirror.  false (by value, the default):
-  /// every produced result crosses the manager uplink on retrieve and again
-  /// inline in each consumer's arguments — the result bytes transit the
-  /// manager twice per edge, exactly the relay the runtime's by-value mode
-  /// pays.  true (by ref): the result stays pinned on the producer worker
-  /// as a content-addressed replica; a consumer landing on a worker that
-  /// holds a replica pays nothing, otherwise it fetches peer-to-peer over
-  /// the worker link and the fetched copy becomes a replica too (the
-  /// runtime's FileReady announcement).  Workloads with no produces_bytes /
-  /// consumes edges are bit-identical under both settings.
-  bool ref_results = false;
-
   /// Optional telemetry sink.  When its tracer is enabled the simulator
   /// emits the same phase spans as the real runtime (submit, dispatch,
   /// transfer, unpack, context-setup, deserialize, exec, result) stamped
@@ -151,8 +125,7 @@ struct SimConfig {
   /// libraries_active) into the shared registry and drives SampleAt at
   /// virtual-time window boundaries — the DES twin of the runtime's
   /// BackgroundSampler, emitting the identical JSON-lines schema.  Null
-  /// (the default) leaves the registry untouched, so established runs
-  /// reproduce their metrics files bit-identically.
+  /// (the default) leaves the registry untouched.
   telemetry::TimeSeriesStore* timeseries = nullptr;
 };
 
@@ -197,21 +170,6 @@ struct SimResult {
   std::uint64_t dispatch_batches = 0;  // batched dispatch messages sent
   std::uint64_t dispatch_batched_invocations = 0;
   std::uint64_t dispatch_max_batch = 0;
-
-  // Pass-by-reference data-plane mirror counters (produces_bytes/consumes
-  // workloads; all zero otherwise).
-  std::uint64_t ref_results = 0;        // results retained as replicas
-  std::uint64_t ref_local_hits = 0;     // consumer co-located with a replica
-  std::uint64_t ref_p2p_fetches = 0;    // worker-to-worker payload fetches
-  std::uint64_t ref_p2p_fetch_bytes = 0;
-  /// Every replica of a consumed result was lost to churn before the fetch;
-  /// the consumer re-materializes from the manager's cached copy (the
-  /// runtime's FetchRef fallback path).
-  std::uint64_t ref_manager_refetches = 0;
-  /// Result bytes that transited the manager: by-value retrieves plus
-  /// by-value consumer argument relays plus refetch fallbacks.  The ref
-  /// data plane exists to drive this to ~0 for DAG edges.
-  std::uint64_t manager_relayed_result_bytes = 0;
 
   TimeSeries active_libraries;  // x = invocations completed
   TimeSeries avg_share_value;   // x = invocations completed
@@ -263,22 +221,6 @@ class VineSim {
   void PumpDispatch();
   void StartOnWorker(std::size_t worker_index, std::uint64_t generation,
                      std::size_t invocation);
-
-  // --- pass-by-reference data-plane mirror ---
-  /// Materializes invocation `invocation`'s consumed results onto the
-  /// target worker, charging the same hops the runtime pays: nothing for a
-  /// co-located replica, a worker-link fetch peer-to-peer, or a manager
-  /// relay (by-value mode / all-replicas-lost fallback).  Calls `then`
-  /// synchronously when the invocation consumes nothing, so workloads
-  /// without data edges schedule bit-identically.
-  void FetchRefArgs(std::size_t worker_index, std::uint64_t generation,
-                    std::size_t invocation, std::function<void()> then);
-  /// Producer side of the mirror, from FinishOnWorker: by ref the result is
-  /// pinned where it was produced; by value its bytes cross the manager
-  /// uplink before the retrieve is served.
-  void RecordProducedResult(std::size_t worker_index, std::uint64_t generation,
-                            std::size_t invocation,
-                            std::function<void()> retrieve);
 
   // --- L3: carrying out core::ControlCore's decisions ---
   void PumpLibraries();
@@ -397,17 +339,6 @@ class VineSim {
   /// slots are tagged with their release time.
   std::deque<double> env_serving_slots_;
   std::deque<std::size_t> env_transfer_queue_;  // workers awaiting a source
-
-  /// Replica locations of each producer invocation's result (ref mode):
-  /// the producing worker plus every consumer that fetched a copy, each
-  /// tagged with the generation it was alive in (a respawned worker lost
-  /// its disk).  Keyed by producer invocation index — the fluid model's
-  /// stand-in for the runtime's content-addressed ReplicaTable.
-  struct RefHolder {
-    std::size_t worker = 0;
-    std::uint64_t generation = 0;
-  };
-  std::map<std::size_t, std::vector<RefHolder>> ref_holders_;
 
   std::uint64_t active_libraries_ = 0;
   std::vector<double> dispatch_times_;  // per invocation, when track_trace

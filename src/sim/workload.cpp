@@ -10,7 +10,7 @@ std::vector<InvocationSpec> BuildLnniWorkload(const WorkloadCosts& costs,
   std::vector<InvocationSpec> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    out.push_back({&costs, 1.0, 0, 0.0, 0, {}});
+    out.push_back({&costs, 1.0, 0, 0.0});
   return out;
 }
 
@@ -40,8 +40,7 @@ std::vector<InvocationSpec> BuildZipfWorkload(const WorkloadCosts& costs,
         exec_sigma > 0.0 ? rng.LogNormal(mu, exec_sigma) : 1.0;
     if (arrival_rate > 0.0)  // Poisson stream: exponential interarrivals
       arrival += -std::log(1.0 - rng.NextDouble()) / arrival_rate;
-    out.push_back(
-        {&costs, scale, std::min(lib, libraries - 1), arrival, 0, {}});
+    out.push_back({&costs, scale, std::min(lib, libraries - 1), arrival});
   }
   return out;
 }
@@ -59,13 +58,12 @@ std::vector<InvocationSpec> BuildExamolWorkload(
   std::size_t in_round = 0;
   while (out.size() < n) {
     if (in_round < kRound) {
-      out.push_back({&simulate, rng.LogNormal(kMu, kSigma), 0, 0.0, 0, {}});
+      out.push_back({&simulate, rng.LogNormal(kMu, kSigma), 0, 0.0});
       ++in_round;
     } else {
-      out.push_back({&train, rng.LogNormal(kMu, kSigma * 0.5), 0, 0.0, 0, {}});
+      out.push_back({&train, rng.LogNormal(kMu, kSigma * 0.5), 0, 0.0});
       if (out.size() < n)
-        out.push_back(
-            {&infer, rng.LogNormal(kMu, kSigma * 0.5), 0, 0.0, 0, {}});
+        out.push_back({&infer, rng.LogNormal(kMu, kSigma * 0.5), 0, 0.0});
       in_round = 0;
     }
   }

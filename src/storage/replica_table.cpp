@@ -42,9 +42,9 @@ std::size_t ReplicaTable::ReplicaCount(const hash::ContentId& id) const {
   return it == replicas_.end() ? 0 : it->second.size();
 }
 
-Result<SourceChoice> ReplicaTable::PickSource(const hash::ContentId& id,
-                                              WorkerId requester,
-                                              bool allow_peer_transfer) const {
+SourceChoice ReplicaTable::PickSource(const hash::ContentId& id,
+                                      WorkerId requester,
+                                      bool allow_peer_transfer) const {
   if (allow_peer_transfer) {
     auto it = replicas_.find(id);
     if (it != replicas_.end()) {
@@ -62,9 +62,6 @@ Result<SourceChoice> ReplicaTable::PickSource(const hash::ContentId& id,
       if (best.has_value()) return SourceChoice{false, *best};
     }
   }
-  if (manager_cap_ != 0 && manager_inflight_ >= manager_cap_)
-    return UnavailableError("all transfer sources saturated for " +
-                            id.ShortHex());
   return SourceChoice{true, 0};
 }
 

@@ -14,12 +14,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.hpp"
 #include "hash/content_id.hpp"
 
 namespace vinelet::storage {
 
 using WorkerId = std::uint64_t;
+
+/// The per-worker concurrent outbound transfer cap N of §3.3.
+inline constexpr unsigned kWorkerTransferCap = 3;
 
 /// Where a transfer should be served from.
 struct SourceChoice {
@@ -29,12 +31,10 @@ struct SourceChoice {
 
 class ReplicaTable {
  public:
-  /// `worker_outbound_cap` is the per-worker concurrent-transfer cap N;
-  /// `manager_outbound_cap` bounds the manager's concurrent sends
-  /// (0 = unbounded).
-  explicit ReplicaTable(unsigned worker_outbound_cap = 3,
-                        unsigned manager_outbound_cap = 0)
-      : worker_cap_(worker_outbound_cap), manager_cap_(manager_outbound_cap) {}
+  /// `worker_outbound_cap` is the per-worker concurrent-transfer cap N; the
+  /// manager's own sends are unbounded.
+  explicit ReplicaTable(unsigned worker_outbound_cap = kWorkerTransferCap)
+      : worker_cap_(worker_outbound_cap) {}
 
   /// Records that `worker` holds a verified replica of `id`.
   void AddReplica(const hash::ContentId& id, WorkerId worker);
@@ -51,11 +51,9 @@ class ReplicaTable {
   ///
   /// Preference order: the peer holding the blob with the fewest in-flight
   /// outbound transfers (if peer transfer is allowed and some peer is under
-  /// cap), then the manager (if under its cap).  kUnavailable when all
-  /// possible sources are saturated — the caller queues and retries.
-  Result<SourceChoice> PickSource(const hash::ContentId& id,
-                                  WorkerId requester,
-                                  bool allow_peer_transfer) const;
+  /// cap), then the manager, which always holds the original.
+  SourceChoice PickSource(const hash::ContentId& id, WorkerId requester,
+                          bool allow_peer_transfer) const;
 
   /// In-flight transfer accounting (manager is the bookkeeper for both its
   /// own link and workers' outbound links).
@@ -67,7 +65,6 @@ class ReplicaTable {
 
  private:
   unsigned worker_cap_;
-  unsigned manager_cap_;
   unsigned manager_inflight_ = 0;
   std::unordered_map<hash::ContentId, std::set<WorkerId>> replicas_;
   std::unordered_map<WorkerId, unsigned> outbound_;

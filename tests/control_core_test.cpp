@@ -175,6 +175,60 @@ TEST(ControlCoreTest, EvictsShareFloorVictimsFirst) {
   EXPECT_EQ(deploy[0].worker, 1u);
 }
 
+TEST(ControlCoreTest, EvictedRoomGoesToTheLibraryThatAskedForIt) {
+  // One worker, full: `z` idle and warm, `a` busy with one more call queued
+  // (within its tolerated backlog, so it holds).  The cold `x` starves and
+  // evicts `z`.  When the removal lands, `a` sorts first and would take the
+  // room as spare-room expansion; the reservation serves `x` first.
+  ControlCore core;
+  core.AddWorker(1, Cores(2));
+  for (const char* name : {"a", "x", "z"}) core.AddLibrary(name, Cores(1), 1);
+  CallId next = 1;
+  WarmUp(core, "z", 1, &next);
+  WarmUp(core, "a", 1, &next);
+  const LibraryInstanceId z = InstancesOf(core, "z").front();
+  core.Submit("a", next++);
+  core.Submit("a", next++);
+  core.Submit("x", next++);
+  const auto decisions = core.Pump();
+  ASSERT_EQ(decisions.size(), 2u);
+  EXPECT_EQ(decisions[0].kind, Kind::kDispatch);
+  EXPECT_EQ(decisions[1].kind, Kind::kEvict);
+  EXPECT_EQ(decisions[1].instance, z);
+
+  ASSERT_TRUE(core.Remove(z).has_value());
+  const auto reserved = [&] {
+    const auto violations = core.Audit().violations;
+    return std::count_if(violations.begin(), violations.end(),
+                         [](const std::string& v) {
+                           return v.find("reserved for library x") !=
+                                  std::string::npos;
+                         });
+  };
+  EXPECT_EQ(reserved(), 1);
+  const auto deploys = OfKind(core.Pump(), Kind::kDeploy);
+  ASSERT_EQ(deploys.size(), 1u);
+  EXPECT_EQ(deploys[0].library, "x");
+  EXPECT_EQ(deploys[0].worker, 1u);
+  EXPECT_EQ(reserved(), 0);
+}
+
+TEST(ControlCoreTest, ReservationDiesWithItsWorker) {
+  ControlCore core;
+  core.AddWorker(1, Cores(1));
+  for (const char* name : {"x", "z"}) core.AddLibrary(name, Cores(1), 1);
+  CallId next = 1;
+  WarmUp(core, "z", 1, &next);
+  const LibraryInstanceId z = InstancesOf(core, "z").front();
+  core.Submit("x", next++);
+  ASSERT_EQ(OfKind(core.Pump(), Kind::kEvict).size(), 1u);
+  ASSERT_TRUE(core.Remove(z).has_value());
+  core.RemoveWorker(1);
+  for (const std::string& violation : core.Audit().violations)
+    EXPECT_EQ(violation.find("reserved"), std::string::npos) << violation;
+  EXPECT_TRUE(core.Pump().empty());
+}
+
 TEST(ControlCoreTest, EvictsLeastServedThenLowestIdAmongEquals) {
   // Neither library is below the floor: the least-served idle instance goes,
   // and equal counts fall to the lowest id.

@@ -174,7 +174,7 @@ TEST(SchedulerMirrorTest, SimDeploysMirrorRuntimeSpread) {
   // One slot per worker: cores_per_worker == cores_per_invocation.
   config.cluster.cores_per_worker = costs.cores_per_invocation;
   std::vector<sim::InvocationSpec> workload;
-  for (int i = 0; i < 9; ++i) workload.push_back({&costs, 1.0, 0, 0.0, 0, {}});
+  for (int i = 0; i < 9; ++i) workload.push_back({&costs, 1.0, 0, 0.0});
 
   const sim::SimResult result = sim::VineSim(config, workload).Run();
   EXPECT_EQ(result.invocations_completed, 9u);
@@ -199,7 +199,7 @@ TEST(SchedulerMirrorTest, SimHoldsAtStealThresholdLikeRuntime) {
   static const sim::WorkloadCosts costs = sim::LnniCosts(16);
   config.cluster.cores_per_worker = costs.cores_per_invocation;
   std::vector<sim::InvocationSpec> workload;
-  for (int i = 0; i < 9; ++i) workload.push_back({&costs, 1.0, 0, 0.0, 0, {}});
+  for (int i = 0; i < 9; ++i) workload.push_back({&costs, 1.0, 0, 0.0});
 
   const sim::SimResult result = sim::VineSim(config, workload).Run();
   EXPECT_EQ(result.invocations_completed, 9u);

@@ -412,120 +412,40 @@ TEST(VineSimTest, ChunkedEnvDistributionBeatsWholeBlobAndMatchesAnalytic) {
   EXPECT_EQ(chunked.invocations_completed, 256u);
 }
 
+TEST(VineSimTest, StealThresholdChangesAnOpenZipfRun) {
+  // More libraries than slots, arriving open-loop: a starved cold library
+  // evicts an idle one, and the room it freed must go to it.  Then the
+  // threshold (how much backlog a warm set tolerates before displacing
+  // another library) shapes the run, and th=1 and th=4 must differ.
+  const WorkloadCosts costs = LnniCosts(16);
+  SimResult results[2];
+  const std::size_t thresholds[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    SimConfig config = SmallConfig(core::ReuseLevel::kL3, 4);
+    config.scheduler.steal_threshold = thresholds[i];
+    Rng rng(7);
+    results[i] = VineSim(config, BuildZipfWorkload(costs, 600, 64, 1.2, 0.2,
+                                                   /*arrival_rate=*/12.0, rng))
+                     .Run();
+    ASSERT_EQ(results[i].invocations_completed, 600u);
+    EXPECT_GT(results[i].autoscale_evicts, 0u);
+  }
+  const SimResult& th1 = results[0];
+  const SimResult& th4 = results[1];
+  // th=1 displaces at the first queued call per instance, th=4 tolerates a
+  // backlog first: th=1 evicts well over twice as often, and under th=4
+  // more calls find their library warm.  Handing the freed room to whichever
+  // library sorts first instead leaves the runs one eviction apart.
+  EXPECT_GT(th1.autoscale_evicts, 2 * th4.autoscale_evicts);
+  EXPECT_GT(th4.affinity_hits, th1.affinity_hits);
+  EXPECT_NE(th1.run_times, th4.run_times);
+}
+
 TEST(VineSimTest, EmptyWorkloadTerminates) {
   VineSim sim(SmallConfig(core::ReuseLevel::kL3), {});
   const SimResult result = sim.Run();
   EXPECT_EQ(result.invocations_completed, 0u);
   EXPECT_DOUBLE_EQ(result.makespan, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Pass-by-reference data-plane mirror.
-// ---------------------------------------------------------------------------
-
-/// Fan-out DAG: `producers` invocations each emit `bytes`, then
-/// `consumers_per` downstream invocations per producer consume that result
-/// after the producers have finished (arrival-separated phases).
-std::vector<InvocationSpec> FanOutWorkload(const WorkloadCosts& costs,
-                                           std::size_t producers,
-                                           std::size_t consumers_per,
-                                           std::uint64_t bytes,
-                                           double consumer_arrival_s) {
-  std::vector<InvocationSpec> out;
-  for (std::size_t p = 0; p < producers; ++p)
-    out.push_back({&costs, 1.0, 0, 0.0, bytes, {}});
-  for (std::size_t p = 0; p < producers; ++p)
-    for (std::size_t c = 0; c < consumers_per; ++c)
-      out.push_back({&costs, 1.0, 0, consumer_arrival_s, 0, {p}});
-  return out;
-}
-
-TEST(VineSimTest, RefDataPlaneBypassesManagerRelay) {
-  const WorkloadCosts costs = LnniCosts(16);
-  const std::uint64_t kBytes = 64ull * 1024 * 1024;
-  const std::size_t kProducers = 4, kConsumersPer = 4;
-  const std::size_t kEdges = kProducers * kConsumersPer;
-
-  SimConfig by_value = SmallConfig(core::ReuseLevel::kL3, 4);
-  SimConfig by_ref = by_value;
-  by_ref.ref_results = true;
-  const auto workload =
-      FanOutWorkload(costs, kProducers, kConsumersPer, kBytes, 200.0);
-
-  const SimResult value_result = VineSim(by_value, workload).Run();
-  const SimResult ref_result = VineSim(by_ref, workload).Run();
-
-  ASSERT_EQ(value_result.invocations_completed, kProducers + kEdges);
-  ASSERT_EQ(ref_result.invocations_completed, kProducers + kEdges);
-
-  // By value every result crosses the manager twice per edge (retrieve +
-  // consumer argument relay) and never moves peer-to-peer.
-  EXPECT_EQ(value_result.manager_relayed_result_bytes,
-            kBytes * (kProducers + kEdges));
-  EXPECT_EQ(value_result.ref_p2p_fetches, 0u);
-  EXPECT_EQ(value_result.ref_results, 0u);
-
-  // By ref nothing transits the manager: results stay pinned on producers
-  // and every edge is a co-located hit or a peer fetch.
-  EXPECT_EQ(ref_result.manager_relayed_result_bytes, 0u);
-  EXPECT_EQ(ref_result.ref_results, kProducers);
-  EXPECT_EQ(ref_result.ref_p2p_fetches + ref_result.ref_local_hits, kEdges);
-  EXPECT_EQ(ref_result.ref_manager_refetches, 0u);
-
-  // Dropping the double relay cannot make the DAG slower.
-  EXPECT_LE(ref_result.makespan, value_result.makespan + 1e-9);
-}
-
-TEST(VineSimTest, RefMirrorBitIdenticalWithoutDataEdges) {
-  // The flag must be inert for workloads with no produces/consumes edges:
-  // established experiments reproduce bit-identically under both settings.
-  const WorkloadCosts costs = LnniCosts(16);
-  SimConfig by_value = SmallConfig(core::ReuseLevel::kL3, 10);
-  SimConfig by_ref = by_value;
-  by_ref.ref_results = true;
-
-  const SimResult a = VineSim(by_value, BuildLnniWorkload(costs, 400)).Run();
-  const SimResult b = VineSim(by_ref, BuildLnniWorkload(costs, 400)).Run();
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  ASSERT_EQ(a.run_times.size(), b.run_times.size());
-  for (std::size_t i = 0; i < a.run_times.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.run_times[i], b.run_times[i]);
-  EXPECT_EQ(b.manager_relayed_result_bytes, 0u);
-  EXPECT_EQ(b.ref_p2p_fetches, 0u);
-}
-
-TEST(VineSimTest, RefReplicaLossFallsBackToManagerCopy) {
-  // The producer's worker dies (and respawns with a new generation) before
-  // the consumer fetches: with no live replica the consumer re-materializes
-  // from the manager's cached copy instead of hanging.
-  const WorkloadCosts costs = LnniCosts(16);
-  SimConfig config = SmallConfig(core::ReuseLevel::kL3, 2);
-  config.ref_results = true;
-  config.fault.kills.push_back({500.0, 1});  // endpoint 1 = sim worker 0
-  config.fault.kills.push_back({500.0, 2});
-
-  std::vector<InvocationSpec> workload;
-  workload.push_back({&costs, 1.0, 0, 0.0, 1024 * 1024, {}});
-  workload.push_back({&costs, 1.0, 0, 1000.0, 0, {0}});
-
-  const SimResult result = VineSim(config, workload).Run();
-  EXPECT_EQ(result.invocations_completed, 2u);
-  EXPECT_EQ(result.injected_kills, 2u);
-  EXPECT_EQ(result.ref_manager_refetches, 1u);
-  EXPECT_EQ(result.ref_p2p_fetches, 0u);
-  EXPECT_EQ(result.manager_relayed_result_bytes, 1024u * 1024u);
-}
-
-TEST(VineSimTest, RefDataPlaneDeterministic) {
-  const WorkloadCosts costs = LnniCosts(16);
-  SimConfig config = SmallConfig(core::ReuseLevel::kL3, 4);
-  config.ref_results = true;
-  const auto workload = FanOutWorkload(costs, 4, 4, 8ull << 20, 200.0);
-  const SimResult a = VineSim(config, workload).Run();
-  const SimResult b = VineSim(config, workload).Run();
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.ref_p2p_fetch_bytes, b.ref_p2p_fetch_bytes);
-  EXPECT_EQ(a.ref_local_hits, b.ref_local_hits);
 }
 
 }  // namespace
