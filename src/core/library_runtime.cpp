@@ -3,8 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <utility>
 
 #include "common/log.hpp"
+#include "core/scheduler.hpp"
 
 namespace vinelet::core {
 namespace {
@@ -89,18 +91,49 @@ void LibraryRuntime::Run() {
   callbacks_.on_ready(instance_id_, report);
 
   // Phase 2: serve invocations until told to stop.
+  if (spec_.exec_mode == ExecMode::kDirect)
+    ServeDirect();
+  else
+    ServeForked();
+}
+
+void LibraryRuntime::ServeDirect() {
+  // A result is held only while the next call is already queued and known
+  // to be cheap, so a burst of cheap calls goes back in one send while a
+  // slow call never delays the results before it.  The thread never blocks
+  // in Recv holding a result.
+  std::vector<InvocationDoneMsg> held;
+  double oldest_s = 0;
+  std::optional<RunInvocationMsg> next = requests_.Recv();
+  while (next) {
+    const double start_s = clock_.Now();
+    held.push_back(RunOne(*next));
+    const double end_s = clock_.Now();
+    served_.fetch_add(1, std::memory_order_relaxed);
+    last_run_s_[next->function_name] = end_s - start_s;
+    if (held.size() == 1) oldest_s = end_s;
+    next = held.size() < kMaxBatch && end_s - oldest_s < kCoalesceExecS
+               ? requests_.TryRecv()
+               : std::nullopt;
+    if (next) {
+      auto last = last_run_s_.find(next->function_name);
+      if (last != last_run_s_.end() && last->second < kCoalesceExecS)
+        continue;
+    }
+    callbacks_.on_done(std::exchange(held, {}));
+    if (!next) next = requests_.Recv();
+  }
+}
+
+void LibraryRuntime::ServeForked() {
+  // A child per invocation, all sharing the retained context.  The
+  // manager's slot accounting bounds concurrency.
   while (auto msg = requests_.Recv()) {
-    if (spec_.exec_mode == ExecMode::kDirect) {
-      InvocationDoneMsg done = RunOne(*msg);
-      served_.fetch_add(1, std::memory_order_relaxed);
-      callbacks_.on_done(std::move(done));
-    } else {
-      // Fork mode: a child per invocation, all sharing the retained
-      // context.  The manager's slot accounting bounds concurrency.
-      RunInvocationMsg request = std::move(*msg);
+    {
       std::lock_guard<std::mutex> lock(fork_mu_);
-      forked_.emplace_back([this, request = std::move(request)] {
-        InvocationDoneMsg done = RunOne(request);
+      forked_.emplace_back([this, request = std::move(*msg)] {
+        std::vector<InvocationDoneMsg> done;
+        done.push_back(RunOne(request));
         served_.fetch_add(1, std::memory_order_relaxed);
         callbacks_.on_done(std::move(done));
       });

@@ -5,7 +5,8 @@
 // deserializing function code, running the context-setup function — then
 // stays resident, serving invocations that only carry their arguments.
 // Direct mode executes an invocation synchronously in the library's own
-// thread; fork mode spawns a child (a thread here, standing in for
+// thread and hands the results of cheap calls back in groups (see
+// kCoalesceExecS); fork mode spawns a child (a thread here, standing in for
 // TaskVine's fork(2)) per invocation so concurrent invocations share the
 // same retained context.
 #pragma once
@@ -15,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/channel.hpp"
@@ -42,9 +44,18 @@ class LibraryRuntime {
     /// failure (the manager then discards the instance).
     std::function<void(LibraryInstanceId, Result<SetupReport>)> on_ready;
 
-    /// Fired for every completed invocation.
-    std::function<void(InvocationDoneMsg)> on_done;
+    /// Fired with finished invocations, in completion order: one per call
+    /// in fork mode; in direct mode, every result one library turn held
+    /// back (see kCoalesceExecS), so the host can send them together.
+    std::function<void(std::vector<InvocationDoneMsg>)> on_done;
   };
+
+  /// Direct mode holds a finished call's result while it runs the next
+  /// queued call only when that call's function last ran in under this
+  /// long, and only until the oldest held result is this old (or kMaxBatch
+  /// results are held).  It bounds the delay a held result can see to
+  /// about twice this.
+  static constexpr double kCoalesceExecS = 50e-6;
 
   /// `telemetry` (optional) receives unpack/deserialize/context-setup spans
   /// for the one-time setup and deserialize/exec spans per invocation, on
@@ -116,6 +127,10 @@ class LibraryRuntime {
 
  private:
   void Run();
+  /// Runs calls on this thread, handing cheap results over in groups.
+  void ServeDirect();
+  /// Runs each call on a child thread of its own.
+  void ServeForked();
   Status Setup(TimingBreakdown& timing);
   InvocationDoneMsg RunOne(const RunInvocationMsg& msg);
   void ReapForked(bool all);
@@ -153,6 +168,9 @@ class LibraryRuntime {
     serde::Value closure;
   };
   std::map<std::string, BoundFunction> functions_;
+  /// Direct mode: how long each function's last call ran (library thread
+  /// only).  A function missing here has never run and counts as slow.
+  std::unordered_map<std::string, double> last_run_s_;
   std::map<std::string, Blob> files_;
   serde::ContextHandle context_;
   std::vector<std::shared_ptr<const poncho::UnpackedDir>> held_envs_;

@@ -79,7 +79,7 @@ Status Manager::Start() {
   // the way a real manager observes a TCP reset.
   network_->SetDisconnectListener([this](net::EndpointId id) {
     if (id == net::kManagerEndpoint) return;
-    commands_.TrySend(DisconnectCmd{id});
+    (void)Post(DisconnectCmd{id});
   });
   started_ = true;
   thread_ = std::thread([this] { Run(); });
@@ -149,8 +149,7 @@ FuturePtr Manager::BroadcastFile(const storage::FileDecl& decl,
     std::lock_guard<std::mutex> lock(wait_mu_);
     ++outstanding_;
   }
-  if (!commands_.Send(
-          BroadcastCmd{decl, chunk_bytes, fanout_cap, future, Now()})) {
+  if (!Post(BroadcastCmd{decl, chunk_bytes, fanout_cap, future, Now()})) {
     future->Resolve(UnavailableError("manager stopped"));
     FinishOne();
   }
@@ -224,7 +223,7 @@ Status Manager::InstallLibrary(LibrarySpec spec) {
       return FailedPreconditionError("library input not declared: " +
                                      decl.name);
   }
-  if (!commands_.Send(InstallCmd{std::move(spec)}))
+  if (!Post(InstallCmd{std::move(spec)}))
     return UnavailableError("manager stopped");
   return Status::Ok();
 }
@@ -263,7 +262,7 @@ FuturePtr Manager::SubmitTask(const std::string& function_name,
     std::lock_guard<std::mutex> lock(wait_mu_);
     ++outstanding_;
   }
-  if (!commands_.Send(TaskCmd{std::move(spec), future, Now()})) {
+  if (!Post(TaskCmd{std::move(spec), future, Now()})) {
     future->Resolve(UnavailableError("manager stopped"));
     FinishOne();
   }
@@ -278,8 +277,8 @@ FuturePtr Manager::SubmitCall(const std::string& library_name,
     std::lock_guard<std::mutex> lock(wait_mu_);
     ++outstanding_;
   }
-  if (!commands_.Send(CallCmd{library_name, function_name, args.ToBlob(),
-                              future, Now()})) {
+  if (!Post(CallCmd{library_name, function_name, args.ToBlob(), future,
+                    Now()})) {
     future->Resolve(UnavailableError("manager stopped"));
     FinishOne();
   }
@@ -290,7 +289,7 @@ Result<Blob> Manager::FetchRef(const BlobRef& ref, double timeout_s) {
   if (!ref.valid()) return InvalidArgumentError("not a valid ref");
   auto promise = std::make_shared<std::promise<Result<Blob>>>();
   auto future = promise->get_future();
-  if (!commands_.Send(FetchRefCmd{ref, std::move(promise)}))
+  if (!Post(FetchRefCmd{ref, std::move(promise)}))
     return UnavailableError("manager stopped");
   if (future.wait_for(std::chrono::duration<double>(timeout_s)) !=
       std::future_status::ready)
@@ -300,7 +299,7 @@ Result<Blob> Manager::FetchRef(const BlobRef& ref, double timeout_s) {
 
 Status Manager::ReleaseRef(const BlobRef& ref) {
   if (!ref.valid()) return InvalidArgumentError("not a valid ref");
-  if (!commands_.Send(ReleaseRefCmd{ref}))
+  if (!Post(ReleaseRefCmd{ref}))
     return UnavailableError("manager stopped");
   return Status::Ok();
 }
@@ -335,7 +334,7 @@ std::size_t Manager::connected_workers() const {
 Result<ClusterStatus> Manager::QueryStatus(double timeout_s) {
   auto promise = std::make_shared<std::promise<Result<ClusterStatus>>>();
   auto future = promise->get_future();
-  if (!commands_.Send(StatusCmd{promise}))
+  if (!Post(StatusCmd{promise}))
     return UnavailableError("manager stopped");
   if (future.wait_for(std::chrono::duration<double>(timeout_s)) !=
       std::future_status::ready)
@@ -346,7 +345,7 @@ Result<ClusterStatus> Manager::QueryStatus(double timeout_s) {
 Result<QuiescenceReport> Manager::CheckQuiescent(double timeout_s) {
   auto promise = std::make_shared<std::promise<QuiescenceReport>>();
   auto future = promise->get_future();
-  if (!commands_.Send(QuiescenceCmd{std::move(promise)}))
+  if (!Post(QuiescenceCmd{std::move(promise)}))
     return UnavailableError("manager stopped");
   if (future.wait_for(std::chrono::duration<double>(timeout_s)) !=
       std::future_status::ready)
@@ -397,6 +396,16 @@ ManagerMetrics Manager::metrics() const {
   return m;
 }
 
+bool Manager::Post(Command command) {
+  if (!commands_.Send(std::move(command))) return false;
+  // A parked manager waits on its inbox, not on commands_: wake it with an
+  // empty frame, once per park.  The manager thread never finds itself
+  // parked, so its own posts (future callbacks) send no wake-up.
+  if (parked_.load() && parked_.exchange(false))
+    (void)inbox_->TrySend(net::Frame{});
+  return true;
+}
+
 void Manager::FinishOne() {
   std::lock_guard<std::mutex> lock(wait_mu_);
   if (outstanding_ > 0) --outstanding_;
@@ -413,7 +422,13 @@ void Manager::Run() {
   while (inbox_open || commands_open) {
     bool activity = false;
     if (inbox_open) {
-      if (auto frame = inbox_->RecvFor(1ms)) {
+      // Park, then look at commands_ once more: a command posted before
+      // the flag went up sent no wake-up, so it must not wait out the poll.
+      parked_.store(true);
+      auto frame =
+          commands_.size() == 0 ? inbox_->RecvFor(1ms) : inbox_->TryRecv();
+      parked_.store(false);
+      if (frame) {
         HandleFrame(*frame);
         activity = true;
         // Drain whatever else is queued before rescheduling.
@@ -443,6 +458,7 @@ void Manager::Run() {
 }
 
 void Manager::HandleFrame(const net::Frame& frame) {
+  if (frame.payload.empty()) return;  // a Post wake-up
   auto message = DecodeFrame(frame);
   if (!message.ok()) {
     VLOG_ERROR("manager") << "malformed frame from " << frame.sender << ": "
@@ -610,7 +626,9 @@ void Manager::HandleFrame(const net::Frame& frame) {
           } else {
             resolve(InternalError(msg.error));
           }
-          Carry(core_.Refill(msg.instance_id, route_));
+          // No refill here: the slot stays free until the end of this
+          // turn, when TrySchedule's Pump refills every slot the turn's
+          // replies freed, up to kMaxBatch calls per dispatch frame.
         } else if constexpr (std::is_same_v<T, BlobDataMsg>) {
           HandleManagerBlobData(std::move(msg));  // FetchRef materialization
         } else if constexpr (std::is_same_v<T, StatusReplyMsg>) {

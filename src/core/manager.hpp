@@ -16,6 +16,7 @@
 //    when another function's invocations are starved (§3.4, §3.5.2).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <future>
@@ -437,6 +438,10 @@ class Manager {
     bool active = false;
   };
 
+  /// Queues a command for the manager thread and wakes the thread if it
+  /// is parked on its inbox.  False once the manager has stopped.
+  bool Post(Command command);
+
   // ---- manager-thread methods ----
   void Run();
   void HandleFrame(const net::Frame& frame);
@@ -537,6 +542,8 @@ class Manager {
 
   std::shared_ptr<net::Inbox> inbox_;
   Channel<Command> commands_;
+  /// Set while the manager thread waits on inbox_ (see Post).
+  std::atomic<bool> parked_{false};
   std::thread thread_;
   bool started_ = false;
 

@@ -487,10 +487,24 @@ void Worker::HandleInstallLibrary(InstallLibraryMsg msg, double decode_s) {
       SendToManager(LibraryRemovedMsg{id});
     }
   };
-  callbacks.on_done = [this](InvocationDoneMsg done) {
-    relayed_result_bytes_.fetch_add(done.result.size(),
-                                    std::memory_order_relaxed);
-    SendToManager(std::move(done));
+  callbacks.on_done = [this](std::vector<InvocationDoneMsg> results) {
+    // One frame per result, one transport send for all of them.
+    std::vector<net::Parcel> parcels;
+    parcels.reserve(results.size());
+    for (const InvocationDoneMsg& done : results) {
+      relayed_result_bytes_.fetch_add(done.result.size(),
+                                      std::memory_order_relaxed);
+      WireFrame wire = EncodeFrame(done);
+      parcels.push_back(
+          net::Parcel{std::move(wire.payload), std::move(wire.attachment)});
+    }
+    Status status = network_->SendMany(config_.id, net::kManagerEndpoint,
+                                       std::move(parcels));
+    if (!status.ok()) {
+      VLOG_DEBUG("worker") << config_.id << " send of " << results.size()
+                           << " results to manager failed: "
+                           << status.ToString();
+    }
   };
 
   auto library = std::make_unique<LibraryRuntime>(

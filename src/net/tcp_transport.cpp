@@ -42,6 +42,9 @@ std::string PeerAddrString(int fd) {
 // deep queue into few syscalls.
 constexpr std::size_t kMaxFramesPerWritev = 64;
 
+// Reads of up to 64 KiB one connection gets per loop turn (1 MiB).
+constexpr int kMaxReadsPerTurn = 16;
+
 }  // namespace
 
 TcpTransport::TcpTransport(TcpTransportConfig config)
@@ -245,59 +248,58 @@ bool TcpTransport::Connected(EndpointId id) const {
 
 Status TcpTransport::Send(EndpointId from, EndpointId to, Blob payload,
                           Blob attachment) {
-  return SendResolved(from, to, std::move(payload), std::move(attachment),
-                      /*apply_faults=*/true);
+  std::vector<Parcel> parcels;
+  parcels.push_back(Parcel{std::move(payload), std::move(attachment)});
+  return SendMany(from, to, std::move(parcels));
 }
 
 Status TcpTransport::SendMany(EndpointId from, EndpointId to,
                               std::vector<Parcel> parcels) {
-  for (Parcel& parcel : parcels) {
-    Status status = SendResolved(from, to, std::move(parcel.payload),
-                                 std::move(parcel.attachment),
-                                 /*apply_faults=*/true);
-    if (!status.ok()) return status;
+  if (const std::shared_ptr<FaultInjector> fault = fault_injector()) {
+    std::vector<Parcel> survivors;
+    survivors.reserve(parcels.size());
+    for (Parcel& parcel : parcels)
+      JudgeParcel(*fault, from, to, std::move(parcel), survivors);
+    parcels = std::move(survivors);
   }
-  return Status::Ok();
+  return SendParcels(from, to, std::move(parcels));
 }
 
-Status TcpTransport::SendResolved(EndpointId from, EndpointId to, Blob payload,
-                                  Blob attachment, bool apply_faults) {
-  if (apply_faults) {
-    if (const std::shared_ptr<FaultInjector> fault = fault_injector()) {
-      const SendDecision decision = fault->OnSend(from, to);
-      // Drops and partitions are silence, not errors — same contract as
-      // the in-process bus, which is what exercises probe/retry paths.
-      if (decision.drop) return Status::Ok();
-      if (decision.corrupt) {
-        if (!attachment.empty())
-          attachment =
-              FaultInjector::CorruptCopy(attachment, decision.corrupt_bit);
-        else
-          payload = FaultInjector::CorruptCopy(payload, decision.corrupt_bit);
-      }
-      if (decision.delay_s > 0.0) {
-        const auto due = std::chrono::steady_clock::now() +
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::duration<double>(decision.delay_s));
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          for (int copy = 0; copy < decision.copies; ++copy)
-            delayed_.push(
-                DelayedSend{due, delay_seq_++, from, to, payload, attachment});
-        }
-        WakeLoop();
-        return Status::Ok();
-      }
-      if (decision.copies > 1) {
-        Status status = Status::Ok();
-        for (int copy = 0; copy < decision.copies; ++copy)
-          status = SendResolved(from, to, payload, attachment,
-                                /*apply_faults=*/false);
-        return status;
-      }
-    }
+void TcpTransport::JudgeParcel(FaultInjector& fault, EndpointId from,
+                               EndpointId to, Parcel parcel,
+                               std::vector<Parcel>& out) {
+  const SendDecision decision = fault.OnSend(from, to);
+  // Drops and partitions are silence, not errors — same contract as the
+  // in-process bus, which is what exercises probe/retry paths.
+  if (decision.drop) return;
+  if (decision.corrupt) {
+    if (!parcel.attachment.empty())
+      parcel.attachment =
+          FaultInjector::CorruptCopy(parcel.attachment, decision.corrupt_bit);
+    else
+      parcel.payload =
+          FaultInjector::CorruptCopy(parcel.payload, decision.corrupt_bit);
   }
+  if (decision.delay_s > 0.0) {
+    const auto due = std::chrono::steady_clock::now() +
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::duration<double>(decision.delay_s));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (int copy = 0; copy < decision.copies; ++copy)
+        delayed_.push(DelayedSend{due, delay_seq_++, from, to, parcel.payload,
+                                  parcel.attachment});
+    }
+    WakeLoop();
+    return;
+  }
+  for (int copy = 1; copy < decision.copies; ++copy) out.push_back(parcel);
+  out.push_back(std::move(parcel));
+}
 
+Status TcpTransport::SendParcels(EndpointId from, EndpointId to,
+                                 std::vector<Parcel> parcels) {
+  if (parcels.empty()) return Status::Ok();
   std::unique_lock<std::mutex> lock(mu_);
   if (!started_ || stopping_)
     return UnavailableError("transport shutting down");
@@ -305,49 +307,80 @@ Status TcpTransport::SendResolved(EndpointId from, EndpointId to, Blob payload,
   if (local_it != local_.end()) {
     std::shared_ptr<Inbox> inbox = local_it->second;
     lock.unlock();
-    return DeliverLocal(inbox, from, std::move(payload), std::move(attachment));
+    for (Parcel& parcel : parcels) {
+      Status status = DeliverLocal(inbox, from, std::move(parcel.payload),
+                                   std::move(parcel.attachment));
+      if (!status.ok()) return status;
+    }
+    return Status::Ok();
   }
 
   auto conn = RouteTo(to);
   if (!conn.ok()) return conn.status();
   std::shared_ptr<Conn> target = *conn;
 
-  OutFrame frame;
-  WireHeader header;
-  header.kind = WireKind::kData;
-  header.sender = from;
-  header.dest = to;
-  header.payload_len = static_cast<std::uint32_t>(payload.size());
-  header.attach_len = static_cast<std::uint32_t>(attachment.size());
-  EncodeWireHeader(header, frame.header);
-  frame.payload = std::move(payload);
-  frame.attachment = std::move(attachment);
-  const std::size_t frame_bytes = frame.TotalBytes();
+  // `first` is set when the frames queued since the last hand-over went to
+  // an empty queue on a writable socket: nothing is ahead of them and no
+  // writer is due, so this thread writes them itself.
+  bool first = false;
+  bool queued = false;
+  for (Parcel& parcel : parcels) {
+    OutFrame frame;
+    WireHeader header;
+    header.kind = WireKind::kData;
+    header.sender = from;
+    header.dest = to;
+    header.payload_len = static_cast<std::uint32_t>(parcel.payload.size());
+    header.attach_len = static_cast<std::uint32_t>(parcel.attachment.size());
+    EncodeWireHeader(header, frame.header);
+    frame.payload = std::move(parcel.payload);
+    frame.attachment = std::move(parcel.attachment);
+    const std::size_t frame_bytes = frame.TotalBytes();
 
-  // Backpressure: block the caller until the socket drains below the cap.
-  // The event loop itself (the drainer, re-sending delayed frames) must
-  // never block here — it bypasses the cap; delayed chaos frames are the
-  // only traffic it originates on this path and they are already bounded.
-  // A connection that dies mid-wait releases the sender and the frame
-  // evaporates like any packet to a dead host.
-  if (std::this_thread::get_id() != loop_tid_ &&
-      target->outq_bytes + frame_bytes > config_.send_queue_limit_bytes) {
-    ++target->backpressure_stalls;
-    cv_.wait(lock, [&] {
-      return stopping_ || target->fd < 0 ||
-             target->outq_bytes + frame_bytes <=
-                 config_.send_queue_limit_bytes;
-    });
-    if (stopping_) return UnavailableError("transport shutting down");
-    if (target->fd < 0) return Status::Ok();  // peer died: silence
+    // Backpressure: block the caller until the socket drains below the
+    // cap.  The event loop itself (the drainer, re-sending delayed frames)
+    // must never block here — it bypasses the cap; delayed chaos frames are
+    // the only traffic it originates on this path and they are already
+    // bounded.  A connection that dies mid-wait releases the sender and the
+    // frame evaporates like any packet to a dead host.
+    if (std::this_thread::get_id() != loop_tid_ &&
+        target->outq_bytes + frame_bytes > config_.send_queue_limit_bytes) {
+      // Frames this sender queued must be on their way before it waits.
+      if (queued && HandOver(*target, first)) WakeLoop();
+      queued = false;
+      ++target->backpressure_stalls;
+      cv_.wait(lock, [&] {
+        return stopping_ || target->fd < 0 || target->write_failed ||
+               target->outq_bytes + frame_bytes <=
+                   config_.send_queue_limit_bytes;
+      });
+      if (stopping_) return UnavailableError("transport shutting down");
+      if (target->fd < 0 || target->write_failed)
+        return Status::Ok();  // peer died: silence
+    }
+    if (!queued) first = target->outq.empty() && Writable(*target);
+    target->outq.push_back(std::move(frame));
+    target->outq_bytes += frame_bytes;
+    target->peak_queue_bytes =
+        std::max<std::uint64_t>(target->peak_queue_bytes, target->outq_bytes);
+    queued = true;
   }
-  target->outq.push_back(std::move(frame));
-  target->outq_bytes += frame_bytes;
-  target->peak_queue_bytes =
-      std::max<std::uint64_t>(target->peak_queue_bytes, target->outq_bytes);
+  const bool wake = HandOver(*target, first);
   lock.unlock();
-  WakeLoop();
+  if (wake) WakeLoop();
   return Status::Ok();
+}
+
+bool TcpTransport::Writable(const Conn& conn) {
+  return conn.fd >= 0 && !conn.connecting && !conn.want_write &&
+         !conn.write_failed;
+}
+
+bool TcpTransport::HandOver(Conn& conn, bool write_here) {
+  if (write_here) FlushConn(conn);
+  // Bytes left over wait on EPOLLOUT (FlushConn armed it); a failed write
+  // waits for the loop to close the connection.
+  return !conn.outq.empty() || conn.write_failed;
 }
 
 Status TcpTransport::DeliverLocal(const std::shared_ptr<Inbox>& inbox,
@@ -557,9 +590,9 @@ void TcpTransport::EventLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& [fd, conn] : conns_) {
-        if (conn->connecting || conn->outq.empty()) continue;
-        FlushConn(*conn);
-        if (conn->fd < 0) dead.push_back(fd);
+        if (!conn->write_failed && !conn->connecting && !conn->outq.empty())
+          FlushConn(*conn);
+        if (conn->write_failed) dead.push_back(fd);
       }
     }
     for (int fd : dead) CloseConn(fd, "write failed");
@@ -629,7 +662,10 @@ void TcpTransport::HandleConn(int fd, std::uint32_t events) {
 
 void TcpTransport::ReadConn(std::shared_ptr<Conn> conn) {
   std::array<std::uint8_t, 64 * 1024> buf;
-  while (true) {
+  // Bounded per turn: a peer that keeps the socket full must not starve
+  // the other connections or the loop's stop check.  Epoll is
+  // level-triggered, so what is left is reported again next turn.
+  for (int reads = 0; reads < kMaxReadsPerTurn; ++reads) {
     const ssize_t n = read(conn->fd, buf.data(), buf.size());
     if (n > 0) {
       Status fed =
@@ -823,7 +859,9 @@ void TcpTransport::FlushConn(Conn& conn) {
         ArmWrite(conn, true);
         return;
       }
-      conn.fd = -1;  // caller closes via CloseConn
+      // Only the loop thread closes (and so writes conn.fd): a sender
+      // flushing inline marks the failure for the loop to act on.
+      conn.write_failed = true;
       cv_.notify_all();
       return;
     }
@@ -938,8 +976,10 @@ void TcpTransport::PumpDelayed() {
     // Re-sent without fault re-evaluation (the delay *was* the verdict).
     // A destination that vanished while the frame was parked just drops
     // it — exactly what a delayed packet to a dead host would do.
-    (void)SendResolved(next.from, next.to, std::move(next.payload),
-                       std::move(next.attachment), /*apply_faults=*/false);
+    std::vector<Parcel> parcels;
+    parcels.push_back(
+        Parcel{std::move(next.payload), std::move(next.attachment)});
+    (void)SendParcels(next.from, next.to, std::move(parcels));
   }
 }
 

@@ -11,15 +11,21 @@
 // connections appear only when chunk transfers or peer blob fetches are
 // scheduled between the pair.
 //
-// Event loop.  A single thread owns epoll, all sockets, and all connection
-// state transitions.  Caller threads (manager loop, worker task threads)
-// only enqueue: Send() resolves the route under the transport mutex,
-// appends an OutFrame to the connection's output queue, and wakes the loop
-// via an eventfd.  The loop flushes queues with writev — each frame
-// contributes up to three iovecs (header / payload / attachment), and
-// multiple queued frames coalesce into one syscall — so bulk attachment
-// Blobs are scattered straight from their refcounted buffers, never copied
-// into a contiguous send buffer.
+// Event loop.  A single thread owns epoll, reads every socket, and makes
+// every connection state transition (connect, close).  Writes are shared:
+// Send() resolves the route under the transport mutex and appends an
+// OutFrame to the connection's output queue; when that queue was empty and
+// the socket is connected with no EPOLLOUT wait armed, the calling thread
+// writes the frames itself, still under the mutex, and the loop is woken
+// (via an eventfd) only for bytes the socket would not take or for a write
+// that failed.  Otherwise the loop writes them.  Every write happens under
+// the mutex and from the queue's front, so frames on one connection stay
+// in order.  Writes gather with writev — each frame contributes up to
+// three iovecs (header / payload / attachment), and multiple queued frames
+// coalesce into one syscall — so bulk attachment Blobs are scattered
+// straight from their refcounted buffers, never copied into a contiguous
+// send buffer.  SendMany queues a whole run of frames under one lock hold
+// and writes them with one syscall.
 //
 // Backpressure.  Each connection's output queue is capped
 // (TcpTransportConfig::send_queue_limit_bytes).  A Send that would exceed
@@ -138,6 +144,7 @@ class TcpTransport final : public Transport {
     std::string dial_key;      // Addr::Key() this conn was dialed to ("" inbound)
     bool connecting = false;   // nonblocking connect() still in flight
     bool want_write = false;   // EPOLLOUT currently armed
+    bool write_failed = false;  // a write failed; the loop will close it
     bool is_hub_link = false;  // node side: the connection to the hub
     std::set<EndpointId> endpoints;  // remote endpoints reached via this conn
     FrameDecoder decoder;
@@ -187,8 +194,23 @@ class TcpTransport final : public Transport {
   void PumpDelayed();
 
   // --- shared helpers (any thread)
-  Status SendResolved(EndpointId from, EndpointId to, Blob payload,
-                      Blob attachment, bool apply_faults);
+  /// Applies the injector's verdict to one parcel: appends the copies to
+  /// send now to `out`, parks delayed ones in the timer heap, drops lost
+  /// ones.
+  void JudgeParcel(FaultInjector& fault, EndpointId from, EndpointId to,
+                   Parcel parcel, std::vector<Parcel>& out);
+  /// Delivers parcels that already passed the fault injector, in order:
+  /// locally, or queued on the route's connection under one mu_ hold and
+  /// written from this thread when nothing is queued ahead of them.
+  Status SendParcels(EndpointId from, EndpointId to,
+                     std::vector<Parcel> parcels);
+  /// True when a sender may write to `conn` itself: connected, no failed
+  /// write, and no EPOLLOUT wait armed (so the loop is not due to write).
+  static bool Writable(const Conn& conn);  // mu_ held
+  /// Gets a sender's queued frames moving: writes them here when
+  /// `write_here`, and returns whether the loop must be woken (bytes left
+  /// over, or a failed write for it to close).
+  bool HandOver(Conn& conn, bool write_here);  // mu_ held
   Status EnqueueRemote(EndpointId from, EndpointId to, WireKind kind,
                        Blob payload, Blob attachment, bool blockable);
   Status DeliverLocal(const std::shared_ptr<Inbox>& inbox, EndpointId from,

@@ -66,20 +66,13 @@ SourceChoice ReplicaTable::PickSource(const hash::ContentId& id,
 }
 
 void ReplicaTable::BeginTransfer(const SourceChoice& source) {
-  if (source.from_manager) {
-    ++manager_inflight_;
-  } else {
-    ++outbound_[source.peer];
-  }
+  if (!source.from_manager) ++outbound_[source.peer];
 }
 
 void ReplicaTable::EndTransfer(const SourceChoice& source) {
-  if (source.from_manager) {
-    if (manager_inflight_ > 0) --manager_inflight_;
-  } else {
-    auto it = outbound_.find(source.peer);
-    if (it != outbound_.end() && it->second > 0) --it->second;
-  }
+  if (source.from_manager) return;
+  auto it = outbound_.find(source.peer);
+  if (it != outbound_.end() && it->second > 0) --it->second;
 }
 
 unsigned ReplicaTable::OutboundInFlight(WorkerId worker) const {

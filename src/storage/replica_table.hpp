@@ -55,17 +55,16 @@ class ReplicaTable {
   SourceChoice PickSource(const hash::ContentId& id, WorkerId requester,
                           bool allow_peer_transfer) const;
 
-  /// In-flight transfer accounting (manager is the bookkeeper for both its
-  /// own link and workers' outbound links).
+  /// In-flight transfer accounting of workers' outbound links, kept by the
+  /// manager.  Transfers from the manager itself are not counted: nothing
+  /// caps its link.
   void BeginTransfer(const SourceChoice& source);
   void EndTransfer(const SourceChoice& source);
 
   unsigned OutboundInFlight(WorkerId worker) const;
-  unsigned ManagerOutboundInFlight() const noexcept { return manager_inflight_; }
 
  private:
   unsigned worker_cap_;
-  unsigned manager_inflight_ = 0;
   std::unordered_map<hash::ContentId, std::set<WorkerId>> replicas_;
   std::unordered_map<WorkerId, unsigned> outbound_;
 };

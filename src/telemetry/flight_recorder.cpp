@@ -1,10 +1,13 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "telemetry/export.hpp"
 
@@ -34,15 +37,35 @@ void FlightRecorder::Record(std::string_view tag, std::string_view detail,
   event.b = b;
   CopyTruncated(event.tag, sizeof(event.tag), tag);
   CopyTruncated(event.detail, sizeof(event.detail), detail);
+  const auto words =
+      std::bit_cast<std::array<std::uint64_t, kEventWords>>(event);
 
   const std::uint64_t ticket = cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket % capacity_];
-  // Seqlock write: odd marks in-progress; the release fence orders the
-  // odd marker before the data writes as observed by an acquire reader.
-  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.event = event;
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+  // Claim the slot by moving its sequence from a published (even) value of
+  // an older ticket to this ticket's odd value.  A newer ticket already
+  // there means this event was lapped: drop it.  An odd older value is a
+  // writer a lap behind still copying: wait for it, since two writers in
+  // one slot could publish a mix of both events.
+  const std::uint64_t writing = 2 * ticket + 1;
+  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  while (true) {
+    if (seq >= writing) return;
+    if (seq % 2 == 1) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seq, writing,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed))
+      break;
+  }
+  // Release stores: a reader that sees any word of this event also sees
+  // the odd sequence claimed before it, so its re-check rejects the copy.
+  for (std::size_t i = 0; i < kEventWords; ++i)
+    slot.words[i].store(words[i], std::memory_order_release);
+  slot.seq.store(writing + 1, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::Dump() const {
@@ -50,14 +73,16 @@ std::vector<FlightEvent> FlightRecorder::Dump() const {
   const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
   std::vector<FlightEvent> out;
   out.reserve(static_cast<std::size_t>(end - begin));
+  std::array<std::uint64_t, kEventWords> words;
   for (std::uint64_t ticket = begin; ticket < end; ++ticket) {
     const Slot& slot = slots_[ticket % capacity_];
     const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
     if (seq1 != 2 * ticket + 2) continue;  // unpublished, torn, or lapped
-    FlightEvent copy = slot.event;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads keep the re-check below from moving ahead of them.
+    for (std::size_t i = 0; i < kEventWords; ++i)
+      words[i] = slot.words[i].load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != seq1) continue;
-    out.push_back(copy);
+    out.push_back(std::bit_cast<FlightEvent>(words));
   }
   return out;
 }

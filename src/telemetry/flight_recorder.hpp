@@ -6,14 +6,14 @@
 // journal *without* having enabled tracing up front — the same reasoning as
 // Netherite's partition event journals.
 //
-// Writers claim a slot with one fetch_add and stamp it with a per-slot
-// sequence number (odd while the write is in progress, even when
-// published), seqlock-style.  Readers copy slots and discard any whose
-// sequence was odd or changed across the copy, so Dump() never blocks
-// writers and never returns a half-written event.  The data copy itself is
-// intentionally unsynchronized (the sequence check makes torn reads
-// *detectable*, not impossible) — acceptable for a best-effort diagnostic
-// journal, and torn slots are simply skipped.
+// Writers take a ticket with one fetch_add and claim the ticket's slot with
+// a compare-exchange on its sequence number (odd while the write is in
+// progress, even when published), seqlock-style.  The event is copied in
+// and out as atomic words.  Readers discard any slot whose sequence was
+// odd or changed across the copy, so Dump() never blocks writers and never
+// returns a half-written event.  A writer lapped by a newer ticket drops
+// its event; one that finds the writer a lap behind still copying waits
+// for it.
 #pragma once
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -51,7 +52,9 @@ class FlightRecorder {
   /// Timestamps come from this clock (0 without one).
   void SetClock(const Clock* clock) noexcept { clock_ = clock; }
 
-  /// Records one event.  Lock-free: one fetch_add plus a bounded memcpy.
+  /// Records one event: one fetch_add, one compare-exchange and a bounded
+  /// copy.  It waits only while the writer a whole lap behind is still
+  /// copying into the same slot.
   void Record(std::string_view tag, std::string_view detail,
               std::uint64_t trace_id = 0, std::uint64_t a = 0,
               std::uint64_t b = 0);
@@ -76,9 +79,14 @@ class FlightRecorder {
   }
 
  private:
+  static constexpr std::size_t kEventWords =
+      sizeof(FlightEvent) / sizeof(std::uint64_t);
+  static_assert(sizeof(FlightEvent) % sizeof(std::uint64_t) == 0 &&
+                std::is_trivially_copyable_v<FlightEvent>);
+
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  // 0 = never written
-    FlightEvent event;
+    std::atomic<std::uint64_t> words[kEventWords] = {};  // a FlightEvent
   };
 
   const Clock* clock_ = nullptr;

@@ -101,12 +101,6 @@ TEST(ReplicaTableTest, TransferAccounting) {
   table.EndTransfer(peer);
   table.EndTransfer(peer);  // over-end is clamped, not underflowed
   EXPECT_EQ(table.OutboundInFlight(7), 0u);
-
-  const SourceChoice manager{true, 0};
-  table.BeginTransfer(manager);
-  EXPECT_EQ(table.ManagerOutboundInFlight(), 1u);
-  table.EndTransfer(manager);
-  EXPECT_EQ(table.ManagerOutboundInFlight(), 0u);
 }
 
 TEST(ReplicaTableTest, FanoutCapSpreadsLoad) {

@@ -4,6 +4,7 @@
 // peer transfers, and fault injection (worker death with retry).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -531,6 +532,126 @@ TEST_P(RuntimeTest, EmptyLibraryEvictedForStarvedFunction) {
   EXPECT_EQ(outcome->value.Get("sum").AsInt(), 2);
   EXPECT_GE(manager_->metrics().libraries_evicted, 1u);
   EXPECT_EQ(manager_->metrics().libraries_deployed, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The batched L3 call path: wake-ups, result coalescing, refills.
+// ---------------------------------------------------------------------------
+
+TEST_P(RuntimeTest, IdleManagerTakesACallWithoutWaitingForItsPoll) {
+  // Each call goes to a manager with nothing else to do.  The manager parks
+  // on its inbox between turns, polling every 1 ms; a submitted call must
+  // wake it rather than wait out the poll.  The submit span times exactly
+  // that wait: from SubmitCall until the manager thread takes the call.
+  StartCluster(1);
+  auto spec = manager_->CreateLibraryFromFunctions("adder", {"add"});
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
+  const Value args = Value::Dict({{"a", Value(1)}, {"b", Value(2)}});
+  ASSERT_TRUE(manager_->SubmitCall("adder", "add", args)->Wait().ok());
+
+  telemetry::SpanTracer& tracer = manager_->telemetry().tracer;
+  tracer.SetEnabled(true);
+  for (int i = 0; i < 50; ++i) {
+    auto outcome = manager_->SubmitCall("adder", "add", args)->Wait();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  }
+  tracer.SetEnabled(false);
+  std::vector<double> waits_ms;
+  for (const telemetry::SpanRecord& span : tracer.Snapshot()) {
+    if (span.category == "invocation" &&
+        span.name == telemetry::PhaseName(telemetry::Phase::kSubmit))
+      waits_ms.push_back(span.Duration() * 1e3);
+  }
+  ASSERT_EQ(waits_ms.size(), 50u);
+  std::nth_element(waits_ms.begin(), waits_ms.begin() + 25, waits_ms.end());
+  EXPECT_LT(waits_ms[25], 0.25)
+      << "median wait for an idle manager to take a call: " << waits_ms[25]
+      << " ms";
+}
+
+TEST_P(RuntimeTest, SlowCallDoesNotHoldBackTheResultBeforeIt) {
+  // A direct-mode library holds a finished call's result while it runs the
+  // next queued call only when that call is known to be cheap.  Behind a
+  // 30 ms call, the earlier result must go back at once.  Round 0 runs both
+  // functions for the first time; in round 1 the library knows `add` is
+  // cheap and `sleepy` is not.
+  StartCluster(1);
+  LibraryOptions options;
+  options.slots = 2;
+  auto spec = manager_->CreateLibraryFromFunctions(
+      "mixed_speed", {"add", "sleepy"}, "", Value(), nullptr, options);
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto fast = manager_->SubmitCall(
+        "mixed_speed", "add", Value::Dict({{"a", Value(2)}, {"b", Value(3)}}));
+    auto slow = manager_->SubmitCall("mixed_speed", "sleepy",
+                                     Value::Dict({{"ms", Value(30)}}));
+    auto outcome = fast->WaitFor(std::chrono::seconds(10));
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_FALSE(slow->Ready()) << "the fast result waited for the slow call";
+    ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+    EXPECT_EQ((*outcome)->value.AsInt(), 5);
+    ASSERT_TRUE(slow->Wait().ok());
+  }
+  // Round 0 queued both calls before the instance was ready, so they left
+  // in one dispatch batch.
+  auto status = manager_->QueryStatus();
+  ASSERT_TRUE(status.ok());
+  EXPECT_GE(status->scheduler.max_batch_size, 2u);
+}
+
+TEST_P(RuntimeTest, BurstOfCheapCallsResolvesEachFutureOnce) {
+  // Results of a burst of cheap calls come back several to a send, each in
+  // its own frame: every future resolves exactly once, with its own value.
+  StartCluster(1);
+  LibraryOptions options;
+  options.slots = 16;
+  auto spec = manager_->CreateLibraryFromFunctions("burst", {"add"}, "",
+                                                   Value(), nullptr, options);
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
+  std::vector<FuturePtr> futures;
+  for (int i = 0; i < 300; ++i) {
+    futures.push_back(manager_->SubmitCall(
+        "burst", "add", Value::Dict({{"a", Value(i)}, {"b", Value(1)}})));
+  }
+  ASSERT_TRUE(manager_->WaitAll(60.0).ok());
+  for (int i = 0; i < 300; ++i) {
+    const FuturePtr& future = futures[static_cast<std::size_t>(i)];
+    EXPECT_EQ(future->resolutions(), 1u) << "call " << i;
+    auto outcome = future->Wait();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->value.AsInt(), i + 1);
+  }
+}
+
+TEST_P(RuntimeTest, BacklogRefillsFreedSlotsInBatches) {
+  // Under a backlog of cheap calls, the slots that the replies of one
+  // manager turn free are refilled by one dispatch frame, so batches keep
+  // forming after the first one.  Refilling each slot as its reply is
+  // decoded sends one call per frame (a mean batch near 1).
+  StartCluster(1);
+  LibraryOptions options;
+  options.slots = 16;
+  auto spec = manager_->CreateLibraryFromFunctions("backlog", {"add"}, "",
+                                                   Value(), nullptr, options);
+  ASSERT_TRUE(spec.ok());
+  ASSERT_TRUE(manager_->InstallLibrary(*spec).ok());
+  constexpr int kCalls = 800;
+  for (int i = 0; i < kCalls; ++i) {
+    (void)manager_->SubmitCall(
+        "backlog", "add", Value::Dict({{"a", Value(i)}, {"b", Value(0)}}));
+  }
+  ASSERT_TRUE(manager_->WaitAll(60.0).ok());
+  const auto snapshot = manager_->telemetry().metrics.Snapshot();
+  const auto* batches = snapshot.HistogramFor("manager.dispatch_batch_size");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_EQ(batches->sum, static_cast<double>(kCalls));
+  EXPECT_GE(batches->Mean(), 2.0)
+      << batches->count << " dispatch frames for " << kCalls << " calls";
 }
 
 // ---------------------------------------------------------------------------

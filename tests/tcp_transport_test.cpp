@@ -8,7 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/protocol.hpp"
 #include "net/fault.hpp"
@@ -337,6 +339,178 @@ TEST(TcpTransportTest, PartitionIsSilenceNotError) {
   auto frame = (*inbox)->RecvFor(std::chrono::seconds(5));
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->payload.ToString(), "healed");
+}
+
+TEST(TcpTransportTest, ConcurrentSendersKeepEachSendersOrder) {
+  // A sender writes its frames itself when the connection is idle and
+  // queues them for the loop otherwise.  With several threads mixing Send
+  // and SendMany on one connection (some frames large enough to fill the
+  // socket), every frame arrives exactly once and each sender's in order.
+  auto hub = StartHub();
+  auto inbox = hub->Register(kManagerEndpoint);
+  ASSERT_TRUE(inbox.ok());
+  auto node = StartNode(hub->listen_port());
+  ASSERT_TRUE(node->Register(1).ok());
+
+  constexpr int kSenders = 4;
+  constexpr int kFrames = 1500;
+  const Blob bulk(std::vector<std::uint8_t>(256 * 1024, 0x3C));
+  const auto parcel = [&](int sender, int i) {
+    return Parcel{
+        Blob::FromString(std::to_string(sender) + ":" + std::to_string(i)),
+        i % 50 == 0 ? bulk : Blob()};
+  };
+  std::atomic<int> failed_sends{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kSenders; ++t) {
+    senders.emplace_back([&, t] {
+      int i = 0;
+      while (i < kFrames) {
+        Status status;
+        if (i % 3 == 0) {
+          Parcel one = parcel(t, i++);
+          status = node->Send(1, kManagerEndpoint, std::move(one.payload),
+                              std::move(one.attachment));
+        } else {
+          std::vector<Parcel> batch;
+          for (int n = 1 + i % 7; n > 0 && i < kFrames; --n)
+            batch.push_back(parcel(t, i++));
+          status = node->SendMany(1, kManagerEndpoint, std::move(batch));
+        }
+        if (!status.ok()) ++failed_sends;
+      }
+    });
+  }
+  std::vector<int> next(kSenders, 0);
+  for (int n = 0; n < kSenders * kFrames; ++n) {
+    auto frame = (*inbox)->RecvFor(std::chrono::seconds(10));
+    ASSERT_TRUE(frame.has_value()) << "frame " << n;
+    const std::string tag = frame->payload.ToString();
+    const std::size_t colon = tag.find(':');
+    ASSERT_NE(colon, std::string::npos);
+    const int sender = std::stoi(tag.substr(0, colon));
+    const int index = std::stoi(tag.substr(colon + 1));
+    ASSERT_GE(sender, 0);
+    ASSERT_LT(sender, kSenders);
+    ASSERT_EQ(index, next[static_cast<std::size_t>(sender)]) << tag;
+    ++next[static_cast<std::size_t>(sender)];
+    EXPECT_EQ(frame->attachment.size(), index % 50 == 0 ? bulk.size() : 0u);
+  }
+  for (auto& sender : senders) sender.join();
+  EXPECT_EQ(failed_sends.load(), 0);
+  EXPECT_FALSE((*inbox)->RecvFor(100ms).has_value()) << "a frame came twice";
+}
+
+TEST(TcpTransportTest, FrameLargerThanTheSocketBufferFinishesOnTheLoop) {
+  // The sender's own write of a 32 MiB attachment stops when the socket
+  // buffer is full; the rest goes out from the event loop.  The frame
+  // arrives whole, and a frame sent after it arrives after it.
+  auto hub = StartHub();
+  auto inbox = hub->Register(kManagerEndpoint);
+  ASSERT_TRUE(inbox.ok());
+  auto node = StartNode(hub->listen_port());
+  ASSERT_TRUE(node->Register(1).ok());
+
+  std::vector<std::uint8_t> bytes(32u << 20);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 11);
+  const Blob big(std::move(bytes));
+  ASSERT_TRUE(
+      node->Send(1, kManagerEndpoint, Blob::FromString("big"), big).ok());
+  ASSERT_TRUE(node->Send(1, kManagerEndpoint, Blob::FromString("after")).ok());
+
+  auto first = (*inbox)->RecvFor(std::chrono::seconds(30));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload.ToString(), "big");
+  EXPECT_TRUE(first->attachment == big);
+  auto second = (*inbox)->RecvFor(std::chrono::seconds(10));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->payload.ToString(), "after");
+}
+
+TEST(TcpTransportTest, SendManyUnderDropsDeliversTheRestInOrder) {
+  // SendMany judges each parcel with the fault injector, as Send does: the
+  // dropped ones vanish and the survivors still arrive in order.
+  auto hub = StartHub();
+  auto inbox = hub->Register(kManagerEndpoint);
+  ASSERT_TRUE(inbox.ok());
+  auto node = StartNode(hub->listen_port());
+  ASSERT_TRUE(node->Register(1).ok());
+
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.link.drop_p = 0.1;
+  auto fault = std::make_shared<FaultInjector>(plan);
+  node->SetFaultInjector(fault);
+  constexpr int kParcels = 40;
+  std::vector<Parcel> parcels;
+  for (int i = 0; i < kParcels; ++i)
+    parcels.push_back(Parcel{Blob::FromString(std::to_string(i)), Blob()});
+  ASSERT_TRUE(node->SendMany(1, kManagerEndpoint, std::move(parcels)).ok());
+  const std::uint64_t dropped = fault->stats().dropped;
+  ASSERT_GE(dropped, 1u);
+  ASSERT_LT(dropped, static_cast<std::uint64_t>(kParcels));
+
+  int last = -1;
+  for (std::uint64_t n = 0; n < kParcels - dropped; ++n) {
+    auto frame = (*inbox)->RecvFor(std::chrono::seconds(5));
+    ASSERT_TRUE(frame.has_value()) << "survivor " << n;
+    const int index = std::stoi(frame->payload.ToString());
+    EXPECT_GT(index, last);
+    last = index;
+  }
+  EXPECT_FALSE((*inbox)->RecvFor(200ms).has_value());
+}
+
+TEST(TcpTransportTest, DeadPeerGivesSendersSilenceAndOneDisconnect) {
+  // The hub streams frames to a node from two threads, which write them
+  // themselves whenever the connection is idle, while the node dies.  A
+  // send that meets the dead socket reports nothing (like a packet to a
+  // dead host) until the hub drops the route (kNotFound); no sender hangs,
+  // and the disconnect listener fires once for the endpoint.
+  auto hub = StartHub();
+  ASSERT_TRUE(hub->Register(kManagerEndpoint).ok());
+  std::atomic<int> disconnects{0};
+  hub->SetDisconnectListener([&](EndpointId id) {
+    if (id == 2) ++disconnects;
+  });
+  auto node = StartNode(hub->listen_port());
+  ASSERT_TRUE(node->Register(2).ok());
+
+  const Blob chunk(std::vector<std::uint8_t>(4096, 0x11));
+  std::atomic<int> delivered{0};
+  std::atomic<int> errors{0};
+  std::atomic<int> ended_by_not_found{0};
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 2; ++t) {
+    senders.emplace_back([&] {
+      const auto deadline = std::chrono::steady_clock::now() + 10s;
+      while (std::chrono::steady_clock::now() < deadline) {
+        Status status =
+            hub->Send(kManagerEndpoint, 2, Blob::FromString("x"), chunk);
+        if (status.code() == ErrorCode::kNotFound) {
+          ++ended_by_not_found;
+          return;
+        }
+        if (status.ok())
+          ++delivered;
+        else
+          ++errors;
+      }
+    });
+  }
+  std::this_thread::sleep_for(20ms);
+  node->Shutdown();
+  for (auto& sender : senders) sender.join();
+  EXPECT_GT(delivered.load(), 0);
+  EXPECT_EQ(ended_by_not_found.load(), 2) << "a sender hung on the dead peer";
+  EXPECT_EQ(errors.load(), 0);
+  for (int i = 0; i < 200 && disconnects.load() == 0; ++i)
+    std::this_thread::sleep_for(10ms);
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(disconnects.load(), 1);
+  EXPECT_FALSE(hub->Connected(2));
+  hub->SetDisconnectListener(nullptr);
 }
 
 }  // namespace

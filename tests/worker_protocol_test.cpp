@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <vector>
 
+#include "core/library_runtime.hpp"
 #include "core/protocol.hpp"
+#include "core/scheduler.hpp"
 #include "core/worker.hpp"
 #include "net/fault.hpp"
 #include "poncho/packer.hpp"
@@ -540,6 +546,78 @@ TEST_F(WorkerProtocolTest, EnvironmentUnpackOncePerWorkerAcrossTasks) {
     ASSERT_TRUE(done->ok) << done->error;
     EXPECT_EQ(Value::FromBlob(done->result)->AsInt(), 100);
   }
+}
+
+TEST(LibraryRuntimeTest, CheapBurstComesBackInFewerSendsThanCalls) {
+  // A direct-mode library holds the results of cheap calls while more are
+  // queued and hands them to its host together, one send for many results.
+  // Every call is still answered exactly once, and no send carries more
+  // than a dispatch batch.
+  serde::FunctionRegistry registry;
+  serde::FunctionDef echo;
+  echo.name = "echo";
+  echo.fn = [](const Value& args, const InvocationEnv&) -> Result<Value> {
+    return args;
+  };
+  ASSERT_TRUE(registry.RegisterFunction(echo).ok());
+  LibrarySpec spec;
+  spec.name = "lib";
+  spec.function_names = {"echo"};
+  spec.setup_args = Value().ToBlob();
+  storage::ContentStore store;
+  UnpackRegistry unpacked;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool set_up = false;
+  std::vector<std::size_t> sends;
+  std::map<InvocationId, int> answers;
+  LibraryRuntime::Callbacks callbacks;
+  callbacks.on_ready = [&](LibraryInstanceId,
+                           Result<LibraryRuntime::SetupReport> report) {
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    std::lock_guard<std::mutex> lock(mu);
+    set_up = true;
+    cv.notify_all();
+  };
+  callbacks.on_done = [&](std::vector<InvocationDoneMsg> results) {
+    std::lock_guard<std::mutex> lock(mu);
+    sends.push_back(results.size());
+    for (const InvocationDoneMsg& done : results) {
+      EXPECT_TRUE(done.ok) << done.error;
+      ++answers[done.id];
+    }
+    cv.notify_all();
+  };
+  const auto wait_for = [&](auto done) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, 10s, done);
+  };
+
+  LibraryRuntime library(spec, 1, &store, &unpacked, &registry, callbacks);
+  library.Start();
+  ASSERT_TRUE(wait_for([&] { return set_up; }));
+  // A function that has never run counts as slow: the first call's result
+  // goes back alone and tells the library that echo is cheap.
+  ASSERT_TRUE(library.Submit(RunInvocationMsg{1, 1, "echo", Value(0).ToBlob(),
+                                              {}, {}}));
+  ASSERT_TRUE(wait_for([&] { return answers.size() == 1; }));
+
+  constexpr std::size_t kBurst = 256;
+  std::vector<RunInvocationMsg> burst;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    burst.push_back(RunInvocationMsg{
+        2 + i, 1, "echo", Value(static_cast<std::int64_t>(i)).ToBlob(), {},
+        {}});
+  }
+  ASSERT_EQ(library.SubmitBatch(burst), kBurst);
+  ASSERT_TRUE(wait_for([&] { return answers.size() == kBurst + 1; }));
+  library.Stop();
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_LT(sends.size() - 1, kBurst);
+  for (std::size_t size : sends) EXPECT_LE(size, kMaxBatch);
+  for (const auto& [id, count] : answers) EXPECT_EQ(count, 1) << "call " << id;
 }
 
 }  // namespace
