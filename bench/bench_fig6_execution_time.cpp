@@ -109,5 +109,11 @@ int main() {
     table.Print();
   }
   report.Write();
-  return 0;
+  // CI runs this bench, so the paper's ordering breaking fails the job.
+  const bool ordered = lnni_l1.makespan > lnni_l2.makespan &&
+                       lnni_l2.makespan > lnni_l3.makespan &&
+                       ex_l1.makespan > ex_l2.makespan;
+  std::printf("Shape check: L1 > L2 > L3 (LNNI), L1 > L2 (ExaMol): %s\n",
+              ordered ? "holds" : "BROKEN");
+  return ordered ? 0 : 1;
 }

@@ -21,6 +21,7 @@ int main() {
       "paper: spread around 10-16 s",
       "paper: clustered around 3-7 s"};
 
+  double mean[3], max[3];
   for (int i = 0; i < 3; ++i) {
     const auto level = static_cast<core::ReuseLevel>(i + 1);
     SimConfig config;
@@ -41,6 +42,13 @@ int main() {
     std::printf("mean=%.2f s  std=%.2f s  min=%.2f s  max=%.2f s\n",
                 result.run_time.mean(), result.run_time.stddev(),
                 result.run_time.min(), result.run_time.max());
+    mean[i] = result.run_time.mean();
+    max[i] = result.run_time.max();
   }
-  return 0;
+  // CI runs this bench, so the paper's shape breaking fails the job.
+  const bool shape = mean[0] > mean[1] && mean[1] > mean[2] &&
+                     max[0] > max[1] && max[0] > max[2];
+  std::printf("Shape check: mean L1 > L2 > L3, L1 has the longest tail: %s\n",
+              shape ? "holds" : "BROKEN");
+  return shape ? 0 : 1;
 }

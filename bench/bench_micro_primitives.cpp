@@ -444,9 +444,9 @@ void BM_SchedulerDispatchDecision(benchmark::State& state) {
   for (const auto& deploy : control.Pump()) {
     control.Installing(deploy.instance);
     control.Ready(deploy.instance);
-    for (const auto& dispatch : control.Refill(deploy.instance))
-      for (auto id : dispatch.calls) control.Finish(dispatch.instance, id);
   }
+  for (const auto& dispatch : control.Pump())
+    for (auto id : dispatch.calls) control.Finish(dispatch.instance, id);
   std::uint64_t call = instances;
   for (auto _ : state) {
     control.Submit("lib", call);

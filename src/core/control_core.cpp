@@ -12,8 +12,33 @@ namespace vinelet::core {
 // Workers and tasks.
 // ---------------------------------------------------------------------------
 
+void ControlCore::FreeRoom::Count(const ResourceAllocator& alloc, int sign) {
+  const Resources& free = alloc.free();
+  const std::uint64_t amounts[] = {free.cores, free.memory_mb, free.disk_mb,
+                                   alloc.FullyIdle()};
+  for (std::size_t r = 0; r < workers.size(); ++r) {
+    if (sign > 0)
+      ++workers[r][amounts[r]];
+    else if (auto it = workers[r].find(amounts[r]); --it->second == 0)
+      workers[r].erase(it);
+  }
+}
+
+bool ControlCore::FreeRoom::MayFit(const Resources& request) const {
+  // All() asks for no amount, only for a fully idle worker.
+  const std::uint64_t asked[] = {request.cores, request.memory_mb,
+                                 request.disk_mb, request.IsAll()};
+  for (std::size_t r = 0; r < workers.size(); ++r)
+    if (workers[r].empty() || workers[r].rbegin()->first < asked[r])
+      return false;
+  return true;
+}
+
 void ControlCore::AddWorker(WorkerId worker, Resources total) {
-  if (workers_.try_emplace(worker, total).second) ring_.Add(worker);
+  auto [it, added] = workers_.try_emplace(worker, total);
+  if (!added) return;
+  ring_.Add(worker);
+  room_.Count(it->second.alloc, +1);
 }
 
 ControlCore::WorkerLoss ControlCore::RemoveWorker(WorkerId worker) {
@@ -28,6 +53,7 @@ ControlCore::WorkerLoss ControlCore::RemoveWorker(WorkerId worker) {
     library.instances.erase(id);
     loss.instances.push_back(std::move(node.mapped()));
   }
+  room_.Count(it->second.alloc, -1);
   workers_.erase(it);
   ring_.Remove(worker);
   std::erase_if(reserved_, [worker](const Reservation& reservation) {
@@ -36,26 +62,45 @@ ControlCore::WorkerLoss ControlCore::RemoveWorker(WorkerId worker) {
   return loss;
 }
 
-std::optional<WorkerId> ControlCore::PlaceTask(TaskId task, std::uint64_t key,
-                                               const Resources& request) {
-  const auto target = ring_.FindFrom(key, [&](WorkerId id) {
-    return workers_.at(id).alloc.CanAllocate(request);
+std::optional<ControlCore::Claim> ControlCore::ClaimFirstFit(
+    std::uint64_t key, const Resources& request) {
+  if (!room_.MayFit(request)) return std::nullopt;
+  ++ring_walks_;
+  const auto id = ring_.FindFrom(key, [&](WorkerId worker) {
+    return workers_.at(worker).alloc.CanAllocate(request);
   });
-  if (!target) return std::nullopt;
-  Worker& worker = workers_.at(*target);
-  auto claimed = worker.alloc.Allocate(request);
-  if (!claimed.ok()) return std::nullopt;
-  worker.tasks.emplace(task, *claimed);
-  return target;
+  if (!id) return std::nullopt;
+  Worker& worker = workers_.at(*id);
+  room_.Count(worker.alloc, -1);
+  const Resources claimed = *worker.alloc.Allocate(request);  // it fits
+  room_.Count(worker.alloc, +1);
+  return Claim{*id, &worker, claimed};
+}
+
+void ControlCore::Unclaim(Worker& worker, const Resources& claimed) {
+  room_.Count(worker.alloc, -1);
+  // Release fails only on an over-release, a bookkeeping bug that Audit()
+  // reports as an allocator/claims mismatch.
+  (void)worker.alloc.Release(claimed);
+  room_.Count(worker.alloc, +1);
+}
+
+void ControlCore::SubmitTask(TaskId task, std::uint64_t key,
+                             const Resources& request) {
+  auto shape = std::find_if(
+      task_shapes_.begin(), task_shapes_.end(),
+      [&](const TaskShape& s) { return s.request == request; });
+  if (shape == task_shapes_.end())
+    shape = task_shapes_.insert(shape, TaskShape{request, {}});
+  shape->queue.push_back({task, key, next_task_seq_++});
+  ++queued_tasks_;
 }
 
 void ControlCore::ReleaseTask(WorkerId worker, TaskId task) {
   auto worker_it = workers_.find(worker);
   if (worker_it == workers_.end()) return;
   auto node = worker_it->second.tasks.extract(task);
-  // Release fails only on an over-release, a bookkeeping bug that Audit()
-  // reports as an allocator/claims mismatch.
-  if (!node.empty()) (void)worker_it->second.alloc.Release(node.mapped());
+  if (!node.empty()) Unclaim(worker_it->second, node.mapped());
 }
 
 // ---------------------------------------------------------------------------
@@ -91,15 +136,22 @@ void ControlCore::Share(const Instance& instance, Library& library,
       add(library.pending, 1);
       add(library.pending_slots, instance.slots);
       break;
-    case InstanceState::kReady:
+    case InstanceState::kReady: {
+      const std::uint32_t free = instance.slots - instance.slots_in_use;
+      const std::pair<std::int64_t, LibraryInstanceId> load{-std::int64_t{free},
+                                                             instance.id};
       add(library.ready, 1);
-      add(library.free_slots, instance.slots - instance.slots_in_use);
+      add(library.free_slots, free);
       add(library.served, instance.served);
-      if (sign < 0)
+      if (sign < 0) {
         library.idle.erase(instance.id);
-      else if (instance.slots_in_use == 0)
-        library.idle.insert(instance.id);
+        library.by_load.erase(load);
+      } else {
+        if (instance.slots_in_use == 0) library.idle.insert(instance.id);
+        library.by_load.insert(load);
+      }
       break;
+    }
     case InstanceState::kDraining:
       break;
   }
@@ -136,6 +188,7 @@ bool ControlCore::Ready(LibraryInstanceId id) {
   Account(it->second, library, -1);
   it->second.state = InstanceState::kReady;
   Account(it->second, library, +1);
+  fresh_.push_back(id);
   return true;
 }
 
@@ -150,7 +203,7 @@ std::optional<ControlCore::Instance> ControlCore::Remove(
   auto worker_it = workers_.find(instance.worker);
   if (worker_it != workers_.end()) {
     worker_it->second.instances.erase(id);
-    (void)worker_it->second.alloc.Release(instance.claimed);  // as above
+    Unclaim(worker_it->second, instance.claimed);
     if (instance.state == InstanceState::kDraining)
       reserved_.push_back({instance.evicted_for, instance.worker});
   }
@@ -190,7 +243,8 @@ AutoscaleSignal ControlCore::Signal(const Library& library,
   // DecideAutoscale reads room only once the backlog outruns the capacity
   // warm or on its way, so it is counted only then.
   if (with_room &&
-      signal.queue_depth > signal.free_slots + signal.pending_slots) {
+      signal.queue_depth > signal.free_slots + signal.pending_slots &&
+      room_.MayFit(library.resources)) {
     for (const auto& [_, worker] : workers_)
       if (worker.alloc.CanAllocate(library.resources))
         ++signal.workers_with_room;
@@ -200,6 +254,21 @@ AutoscaleSignal ControlCore::Signal(const Library& library,
 
 std::vector<ControlCore::Decision> ControlCore::Pump(const RouteHooks& hooks) {
   std::vector<Decision> out;
+  if (queued_tasks_ > 0) PlaceTasks(out);
+  // A newly ready instance first fills its slots from its library's queue,
+  // unnarrowed: the backlog that recruited it must not wait for a busy
+  // instance the narrowing hook prefers.
+  for (LibraryInstanceId id : std::exchange(fresh_, {})) {
+    auto it = instance_table_.find(id);
+    if (it == instance_table_.end() ||
+        it->second.state != InstanceState::kReady)
+      continue;
+    Library& library = libraries_.at(it->second.library);
+    while (!library.queue.empty() &&
+           it->second.slots_in_use < it->second.slots &&
+           Take(it->second, library, hooks, out) > 0) {
+    }
+  }
   // The no-capacity memo: a request for which both a deploy and an evict
   // failed.  Within one pass room only shrinks (deploys and tasks claim;
   // removals arrive as later events), and so does the victim set, except
@@ -221,6 +290,35 @@ std::vector<ControlCore::Decision> ControlCore::Pump(const RouteHooks& hooks) {
   }
   for (auto& [name, library] : libraries_) serve(name, library);
   return out;
+}
+
+void ControlCore::PlaceTasks(std::vector<Decision>& out) {
+  // First-fit in FIFO order across shapes: the oldest head among the shapes
+  // still in play goes next.  Within a pass room only shrinks, so a shape
+  // that fits nowhere drops out, and its later tasks are not tried.
+  std::vector<TaskShape*> live;
+  for (TaskShape& shape : task_shapes_) live.push_back(&shape);
+  while (!live.empty()) {
+    const auto oldest = std::min_element(
+        live.begin(), live.end(), [](const TaskShape* a, const TaskShape* b) {
+          return a->queue.front().seq < b->queue.front().seq;
+        });
+    TaskShape& shape = **oldest;
+    const TaskShape::Entry entry = shape.queue.front();
+    const auto claim = ClaimFirstFit(entry.key, shape.request);
+    if (claim) {
+      claim->worker->tasks.emplace(entry.task, claim->claimed);
+      shape.queue.pop_front();
+      --queued_tasks_;
+      Decision& place = out.emplace_back();
+      place.kind = Decision::Kind::kTask;
+      place.task = entry.task;
+      place.worker = claim->id;
+    }
+    if (!claim || shape.queue.empty()) live.erase(oldest);
+  }
+  std::erase_if(task_shapes_,
+                [](const TaskShape& shape) { return shape.queue.empty(); });
 }
 
 void ControlCore::ServeQueue(const std::string& name, Library& library,
@@ -247,20 +345,20 @@ void ControlCore::ServeQueue(const std::string& name, Library& library,
 bool ControlCore::DispatchOnce(Library& library, const RouteHooks& hooks,
                                std::vector<Decision>& out) {
   if (library.free_slots == 0) return false;  // narrowing cannot add slots
-  // Context affinity: the least-loaded warm instance, ties to the lowest id.
-  std::vector<DispatchCandidate> candidates;
-  for (LibraryInstanceId id : library.instances) {
-    const Instance& instance = instance_table_.at(id);
-    if (instance.state == InstanceState::kReady)
-      candidates.push_back({id, instance.slots - instance.slots_in_use});
-  }
-  if (hooks.narrow && candidates.size() > 1)
+  // Context affinity: the least-loaded ready instance, ties to the lowest
+  // id — the first of `by_load`.  A narrowing hook sees them all in that
+  // order; if the first it keeps is full, the call waits for it.
+  LibraryInstanceId pick = library.by_load.begin()->second;
+  if (hooks.narrow && library.ready > 1) {
+    std::vector<LibraryInstanceId> candidates;
+    for (const auto& [_, id] : library.by_load) candidates.push_back(id);
     hooks.narrow(library.queue.front(), candidates);
-  const std::size_t pick =
-      PickLeastLoaded(candidates.data(), candidates.size());
-  if (pick == kNoCandidate) return false;
-  return Take(instance_table_.at(candidates[pick].instance_id), library,
-              hooks, out) > 0;
+    if (candidates.empty()) return false;
+    pick = candidates.front();
+  }
+  Instance& instance = instance_table_.at(pick);
+  if (instance.slots_in_use == instance.slots) return false;
+  return Take(instance, library, hooks, out) > 0;
 }
 
 std::size_t ControlCore::Take(Instance& instance, Library& library,
@@ -290,31 +388,27 @@ std::size_t ControlCore::Take(Instance& instance, Library& library,
 
 bool ControlCore::Deploy(const std::string& name, Library& library,
                          std::vector<Decision>& out) {
-  const auto target = ring_.FindFrom(library.ring_key, [&](WorkerId id) {
-    return workers_.at(id).alloc.CanAllocate(library.resources);
-  });
-  if (!target) return false;
-  Worker& worker = workers_.at(*target);
-  auto claimed = worker.alloc.Allocate(library.resources);
-  if (!claimed.ok()) return false;
+  const auto claim = ClaimFirstFit(library.ring_key, library.resources);
+  if (!claim) return false;
   Instance instance;
   instance.id = next_instance_id_++;
   instance.library = name;
-  instance.worker = *target;
-  instance.claimed = *claimed;
+  instance.worker = claim->id;
+  instance.claimed = claim->claimed;
   instance.slots = library.slots;
   Decision& deploy = out.emplace_back();
   deploy.kind = Decision::Kind::kDeploy;
   deploy.instance = instance.id;
-  deploy.worker = *target;
+  deploy.worker = claim->id;
   deploy.library = name;
   deploy.calls = {library.queue.front()};
   // Work stealing: recruiting a worker outside the warm affinity set while
   // the library already has warm instances elsewhere.
-  deploy.steal = library.ready > 0 && !affinity_index_.Contains(name, *target);
+  deploy.steal =
+      library.ready > 0 && !affinity_index_.Contains(name, claim->id);
   Account(instance, library, +1);
   library.instances.insert(instance.id);
-  worker.instances.insert(instance.id);
+  claim->worker->instances.insert(instance.id);
   instance_table_.emplace(instance.id, std::move(instance));
   return true;
 }
@@ -356,21 +450,6 @@ bool ControlCore::Evict(const std::string& for_library,
   return true;
 }
 
-std::vector<ControlCore::Decision> ControlCore::Refill(
-    LibraryInstanceId id, const RouteHooks& hooks) {
-  std::vector<Decision> out;
-  auto it = instance_table_.find(id);
-  if (it == instance_table_.end() || it->second.state != InstanceState::kReady)
-    return out;
-  Library& library = libraries_.at(it->second.library);
-  // One batch covers at most kMaxBatch calls; loop while slots stay free.
-  while (!library.queue.empty() &&
-         it->second.slots_in_use < it->second.slots &&
-         Take(it->second, library, hooks, out) > 0) {
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Views and audit.
 // ---------------------------------------------------------------------------
@@ -398,6 +477,9 @@ ControlCore::AuditReport ControlCore::Audit() const {
   auto violate = [&](std::string what) {
     report.violations.push_back(std::move(what));
   };
+  report.queued_tasks = queued_tasks_;
+  if (queued_tasks_ != 0)
+    violate(std::to_string(queued_tasks_) + " tasks still queued");
   for (const auto& [name, library] : libraries_) {
     report.queued_calls += library.queue.size();
     if (!library.queue.empty())
@@ -458,7 +540,7 @@ ControlCore::AuditReport ControlCore::Audit() const {
   }
   const auto sums = [](const Library& l) {
     return std::tie(l.ready, l.pending, l.free_slots, l.pending_slots,
-                    l.served, l.idle);
+                    l.served, l.idle, l.by_load);
   };
   for (const auto& [name, library] : libraries_)
     if (sums(library) != sums(recount[name]))
@@ -498,9 +580,11 @@ ControlCore::AuditReport ControlCore::Audit() const {
             std::to_string(report.warm) + " ready instances");
 
   // Per-worker accounting: the membership sets must be mirrored by the
-  // instance table, and the recorded claims must exactly explain the
-  // allocator's non-free resources.
+  // instance table, the recorded claims must exactly explain the
+  // allocator's non-free resources, and the summary must be their free room.
+  FreeRoom room;
   for (const auto& [worker_id, worker] : workers_) {
+    room.Count(worker.alloc, +1);
     const std::string label = "worker " + std::to_string(worker_id);
     for (LibraryInstanceId inst_id : worker.instances)
       if (!instance_table_.contains(inst_id))
@@ -525,6 +609,8 @@ ControlCore::AuditReport ControlCore::Audit() const {
               " but recorded claims imply " + expected_free.ToString());
     }
   }
+  if (room.workers != room_.workers)
+    violate("free-room summary disagrees with the workers' allocators");
   return report;
 }
 

@@ -1,20 +1,23 @@
-// ControlCore: the L3 control state and decisions, written once.
+// ControlCore: the control state and decisions of every reuse level,
+// written once.
 //
-// The paper's retain mechanism — place each call on retained context
+// The paper's placement and retain mechanisms — place work on a walk of a
+// hash ring of workers (§3.5.2), place each call on retained context
 // (§3.4), evict an empty library when another function starves (§3.5.2) —
-// lives here, with no clock, no transport and no telemetry.  Its two
+// live here, with no clock, no transport and no telemetry.  Its two
 // drivers, the live Manager and the DES (VineSim), feed it events and carry
 // out the decisions it returns.
 //
-// The core owns the per-library call queues, the instance table (ids minted
-// here), one ResourceAllocator per worker, the hash ring, and the
-// AffinityIndex and warm-instance count, both kept by its own transitions.
-// A queued call is the driver's id for it (InvocationId in the Manager, the
-// invocation index in the DES); the call itself stays in a driver-side
-// table.  Plain L1/L2 tasks claim from the same allocators over the same
-// ring walk, so the core places them too.
+// The core owns the L1/L2 task queue, the per-library call queues, the
+// instance table (ids minted here), one ResourceAllocator per worker, a
+// summary of their free room, the hash ring, and the AffinityIndex and
+// warm-instance count, both kept by its own transitions.  A queued task or
+// call is the driver's id for it (TaskId or InvocationId in the Manager, the
+// invocation index in the DES); the work itself stays in a driver-side
+// table.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -62,6 +65,9 @@ class ControlCore {
     std::deque<CallId> queue;
     std::set<LibraryInstanceId> instances;  // every state
     std::set<LibraryInstanceId> idle;       // ready, nothing in flight
+    /// Ready instances as (-free slots, id): least loaded first, ties to
+    /// the lowest id.
+    std::set<std::pair<std::int64_t, LibraryInstanceId>> by_load;
     // Sums over `instances`, kept by every transition so that a signal
     // costs O(1); Audit() recounts them.
     std::size_t ready = 0, pending = 0;  // pending: staging or installing
@@ -82,8 +88,10 @@ class ControlCore {
       kDispatch,  // send `calls` to `instance`, one batch
       kDeploy,    // stage and install the new `instance` on `worker`
       kEvict,     // tell `worker` to remove the idle `instance`
+      kTask,      // run `task` on `worker`, whose room it has claimed
     };
     Kind kind = Kind::kDispatch;
+    TaskId task = 0;
     LibraryInstanceId instance = 0;
     WorkerId worker = 0;
     std::string library;
@@ -99,9 +107,11 @@ class ControlCore {
     /// The call at a queue front can never run; the driver has failed it
     /// and the core drops it.  (Manager: a ref argument lost every replica.)
     std::function<bool(CallId)> unrunnable;
-    /// Narrows two or more warm candidates for the call at the queue front.
+    /// Narrows two or more ready instances, least loaded first, for the
+    /// call at the queue front; the first one left takes it when it has a
+    /// free slot.
     /// (Manager: keep the workers holding the most ref-argument bytes.)
-    std::function<void(CallId, std::vector<DispatchCandidate>&)> narrow;
+    std::function<void(CallId, std::vector<LibraryInstanceId>&)> narrow;
   };
 
   struct WorkerLoss {
@@ -111,6 +121,7 @@ class ControlCore {
 
   struct AuditReport {
     std::vector<std::string> violations;
+    std::size_t queued_tasks = 0;
     std::size_t queued_calls = 0;
     std::size_t instances = 0;
     std::size_t running_invocations = 0;
@@ -132,10 +143,11 @@ class ControlCore {
   /// come back ascending, for the driver to requeue at the front.
   WorkerLoss RemoveWorker(WorkerId worker);
 
-  /// Claims room for `task` on the first worker with room on the ring walk
-  /// from `key`.
-  std::optional<WorkerId> PlaceTask(TaskId task, std::uint64_t key,
-                                    const Resources& request);
+  /// Queues a task, new or retried, behind every queued task: a pass places
+  /// it on the first worker with room for `request` on the ring walk from
+  /// `key` (the hash of its function's name).
+  void SubmitTask(TaskId task, std::uint64_t key, const Resources& request);
+  /// The placed task finished or failed: returns its claim.
   void ReleaseTask(WorkerId worker, TaskId task);
 
   /// Registers (or re-registers) a library template.
@@ -159,18 +171,17 @@ class ControlCore {
 
   // ---- decisions out ---------------------------------------------------
 
-  /// One pass over the libraries with queued calls, in name order: route
-  /// calls to the least-loaded warm instance; when none has a slot, ask the
-  /// autoscaler, deploy on the first worker with room on the ring walk from
-  /// the library's key, or else evict one idle instance of another library
-  /// and wait for its removal.  A library whose eviction's removal has
-  /// landed since the last pass is served before the name-order pass, so
-  /// the room it freed goes to it if its own verdict still wants it.
+  /// One pass.  Queued tasks go first, first-fit in FIFO order; then each
+  /// instance that became ready since the last pass fills its slots from
+  /// its library's queue, unnarrowed.  Then the libraries with queued
+  /// calls, in name order: route calls to the least-loaded warm instance;
+  /// when none has a slot, ask the autoscaler, deploy on the first worker
+  /// with room on the ring walk from the library's key, or else evict one
+  /// idle instance of another library and wait for its removal.  A library
+  /// whose eviction's removal has landed since the last pass is served
+  /// before the name-order pass, so the room it freed goes to it if its
+  /// own verdict still wants it.
   std::vector<Decision> Pump(const RouteHooks& hooks = {});
-  /// Refills one ready instance from its library's queue (the slot that
-  /// just freed, or the instance that just became ready).
-  std::vector<Decision> Refill(LibraryInstanceId id,
-                               const RouteHooks& hooks = {});
   /// The memo Pump() keeps changes no decision (control_core_test compares
   /// a core with it against one without); switching it off only costs time.
   void set_capacity_memo(bool on) { capacity_memo_ = on; }
@@ -188,19 +199,56 @@ class ControlCore {
   const hash::HashRing& ring() const { return ring_; }
   const AffinityIndex& affinity() const { return affinity_index_; }
   std::size_t warm_instances() const { return warm_; }
+  std::size_t queued_tasks() const { return queued_tasks_; }
+  /// Ring walks made so far (task and instance placements); a request the
+  /// free-room summary rules out makes none.
+  std::uint64_t ring_walks() const { return ring_walks_; }
   /// Staging or installing instances on `worker`.
   std::size_t PendingOn(WorkerId worker) const;
 
-  /// Audit of a settled core: nothing queued, running, in transit or
-  /// reserved; affinity, the warm count and the library sums equal to what
-  /// the instance table implies; per-worker claims (instances and tasks)
-  /// that exactly explain each allocator.  CheckQuiescent reports these
-  /// texts.
+  /// Audit of a settled core: no task or call queued, nothing running, in
+  /// transit or reserved; affinity, the warm count, the library sums and
+  /// the free-room summary equal to what the tables imply; per-worker claims
+  /// (instances and tasks) that exactly explain each allocator.
+  /// CheckQuiescent reports these texts.
   AuditReport Audit() const;
 
  private:
+  /// The workers' free room: per resource (cores, memory, disk, then 1 for
+  /// a fully idle worker), free amount -> workers with exactly that much.
+  /// A request above the largest amount of some resource fits on no worker,
+  /// so it fails without a ring walk; one within them all may still fail.
+  struct FreeRoom {
+    void Count(const ResourceAllocator& alloc, int sign);  // add +1, drop -1
+    bool MayFit(const Resources& request) const;
+    std::array<std::map<std::uint64_t, std::size_t>, 4> workers;
+  };
+
+  /// Queued tasks of one request shape, oldest first.
+  struct TaskShape {
+    struct Entry {
+      TaskId task = 0;
+      std::uint64_t key = 0;
+      std::uint64_t seq = 0;  // submission order across shapes
+    };
+    Resources request;
+    std::deque<Entry> queue;
+  };
+
+  struct Claim {
+    WorkerId id = 0;
+    Worker* worker = nullptr;
+    Resources claimed;
+  };
+  /// Claims `request` on the first worker with room on the ring walk from
+  /// `key`; nullopt at once when the summary rules the request out.
+  std::optional<Claim> ClaimFirstFit(std::uint64_t key,
+                                     const Resources& request);
+  /// Returns a claim, keeping the summary in step.
+  void Unclaim(Worker& worker, const Resources& claimed);
+  void PlaceTasks(std::vector<Decision>& out);
   /// Adds (`sign` +1) or withdraws (-1) an instance's share of its
-  /// library's sums and idle set, by its state.
+  /// library's sums, idle set and load order, by its state.
   static void Share(const Instance& instance, Library& library, int sign);
   /// Share() plus the affinity index and the warm count.
   void Account(const Instance& instance, Library& library, int sign);
@@ -225,10 +273,16 @@ class ControlCore {
   };
 
   SchedulerConfig config_;
+  std::vector<TaskShape> task_shapes_;  // one per request shape queued
+  std::size_t queued_tasks_ = 0;
+  std::uint64_t next_task_seq_ = 0;
   std::map<std::string, Library> libraries_;
   std::map<LibraryInstanceId, Instance> instance_table_;
   std::map<WorkerId, Worker> workers_;
+  FreeRoom room_;
+  std::uint64_t ring_walks_ = 0;
   std::vector<Reservation> reserved_;  // in removal order
+  std::vector<LibraryInstanceId> fresh_;  // ready since the last pass
   hash::HashRing ring_;
   AffinityIndex affinity_index_;
   std::size_t warm_ = 0;

@@ -26,7 +26,7 @@ Manager::Manager(std::shared_ptr<net::Transport> network, ManagerConfig config)
       slo_monitor_(config.slo) {
   route_.unrunnable = [this](InvocationId id) { return FailUnrunnable(id); };
   route_.narrow = [this](InvocationId id,
-                         std::vector<DispatchCandidate>& candidates) {
+                         std::vector<LibraryInstanceId>& candidates) {
     NarrowByRefs(id, candidates);
   };
   if (config.telemetry != nullptr) {
@@ -100,10 +100,8 @@ void Manager::Stop() {
     if (future) future->Resolve(CancelledError("manager stopped"));
     FinishOne();
   };
-  for (auto& task : task_queue_) cancel(task.future);
-  task_queue_.clear();
-  for (auto& [_, running] : running_tasks_) cancel(running.task.future);
-  running_tasks_.clear();
+  for (auto& [_, task] : tasks_) cancel(task.future);  // queued and placed
+  tasks_.clear();
   for (auto& [_, call] : calls_) cancel(call.future);  // queued and running
   calls_.clear();
   for (auto& [_, broadcast] : broadcasts_) cancel(broadcast.future);
@@ -493,45 +491,43 @@ void Manager::HandleFrame(const net::Frame& frame) {
           CompleteTransfer(sender, msg.content_id, false, msg.error);
           FailBroadcastWorker(sender, msg.content_id, msg.error);
         } else if constexpr (std::is_same_v<T, TaskDoneMsg>) {
-          auto it = running_tasks_.find(msg.id);
-          if (it == running_tasks_.end()) return;  // stale (retried) result
-          RunningTask running = std::move(it->second);
-          running_tasks_.erase(it);
-          core_.ReleaseTask(running.worker, msg.id);
-          if (msg.ok) {
-            auto value = serde::Value::FromBlob(msg.result);
-            if (value.ok()) {
-              TimingBreakdown timing = msg.timing;
-              timing.transfer_s += running.transfer_wait_s;
-              const double received_s = Now();
-              // Metrics and spans land before the future resolves so a
-              // waiter's snapshot always includes its own completion.
-              m_.tasks_completed->Add();
-              m_.task_roundtrip_s->Observe(Now() - running.task.submitted_s);
-              // Chain the result span off the worker's execution span (the
-              // reply carries it back) so the round trip closes the trace.
-              telemetry_->tracer.EmitLinked(
-                  msg.trace.valid() ? msg.trace : running.task.trace,
-                  telemetry::Phase::kResult, "task", "manager", msg.id,
-                  received_s, Now());
-              running.task.future->Resolve(
-                  Outcome{std::move(*value), timing, running.worker});
-              FinishOne();
-            } else {
-              running.task.future->Resolve(value.status());
-              FinishOne();
-            }
-          } else if (++running.task.attempts < config_.max_attempts) {
+          auto it = tasks_.find(msg.id);
+          // Stale: a retried task's old result, or one for a requeued task.
+          if (it == tasks_.end() || it->second.worker == 0) return;
+          Task& task = it->second;
+          core_.ReleaseTask(task.worker, msg.id);
+          if (!msg.ok && ++task.attempts < config_.max_attempts) {
             m_.retries->Add();
             telemetry_->flight.Record("task-retry", msg.error,
-                                      running.task.trace.trace_id, msg.id,
-                                      running.worker);
-            running.task.queued_s = Now();
-            task_queue_.push_back(std::move(running.task));
-          } else {
-            running.task.future->Resolve(InternalError(msg.error));
-            FinishOne();
+                                      task.trace.trace_id, msg.id,
+                                      task.worker);
+            QueueTask(task);
+            return;
           }
+          if (!msg.ok) {
+            task.future->Resolve(InternalError(msg.error));
+          } else if (auto value = serde::Value::FromBlob(msg.result);
+                     !value.ok()) {
+            task.future->Resolve(value.status());
+          } else {
+            TimingBreakdown timing = msg.timing;
+            timing.transfer_s += task.transfer_wait_s;
+            const double received_s = Now();
+            // Metrics and spans land before the future resolves so a
+            // waiter's snapshot always includes its own completion.
+            m_.tasks_completed->Add();
+            m_.task_roundtrip_s->Observe(Now() - task.submitted_s);
+            // Chain the result span off the worker's execution span (the
+            // reply carries it back) so the round trip closes the trace.
+            telemetry_->tracer.EmitLinked(
+                msg.trace.valid() ? msg.trace : task.trace,
+                telemetry::Phase::kResult, "task", "manager", msg.id,
+                received_s, Now());
+            task.future->Resolve(
+                Outcome{std::move(*value), timing, task.worker});
+          }
+          FinishOne();
+          tasks_.erase(it);
         } else if constexpr (std::is_same_v<T, LibraryReadyMsg>) {
           // A redelivered (duplicated) Ready must not re-count the deploy or
           // re-add the gauge shares: the core takes it only from kInstalling.
@@ -553,7 +549,7 @@ void Manager::HandleFrame(const net::Frame& frame) {
           VLOG_INFO("manager") << "library " << instance.library << "#"
                                << msg.instance_id << " ready on worker "
                                << instance.worker;
-          Carry(core_.Refill(msg.instance_id, route_));
+          // The turn's TrySchedule fills the new instance's slots.
         } else if constexpr (std::is_same_v<T, LibraryRemovedMsg>) {
           // The core drops the instance (and, if it was still kReady, its
           // affinity entry) and releases its claim; a duplicate is a no-op.
@@ -649,7 +645,7 @@ void Manager::HandleCommand(Command command) {
           core_.AddLibrary(name, cmd.spec.resources, cmd.spec.slots);
           libraries_[name] = std::move(cmd.spec);
         } else if constexpr (std::is_same_v<T, TaskCmd>) {
-          PendingTask task;
+          Task task;
           // Split declared inputs: cached ones are staged per-worker, the
           // rest ride inline with every execution (L1 behaviour).
           for (auto& decl : cmd.spec.inputs) {
@@ -663,15 +659,14 @@ void Manager::HandleCommand(Command command) {
           task.spec = std::move(cmd.spec);
           task.future = std::move(cmd.future);
           task.submitted_s = cmd.submitted_s;
-          task.queued_s = Now();
-          task.ring_key =
-              hash::ContentId::OfText(task.spec.function_name).Prefix64();
+          const TaskId id = task.spec.id;
+          Task& queued = tasks_.emplace(id, std::move(task)).first->second;
+          QueueTask(queued);
           // Root of the task's causal trace; every downstream span (staging,
           // worker execution, result) chains off this context.
-          task.trace = telemetry_->tracer.StartTrace(
-              telemetry::Phase::kSubmit, "task", "manager", task.spec.id,
-              cmd.submitted_s, task.queued_s);
-          task_queue_.push_back(std::move(task));
+          queued.trace = telemetry_->tracer.StartTrace(
+              telemetry::Phase::kSubmit, "task", "manager", id,
+              cmd.submitted_s, queued.queued_s);
         } else if constexpr (std::is_same_v<T, CallCmd>) {
           if (!libraries_.contains(cmd.library)) {
             cmd.future->Resolve(

@@ -320,21 +320,17 @@ class Manager {
   // ---- scheduler state (manager thread only) ----
   static constexpr std::size_t kLatencyWindow = 64;
 
-  struct PendingTask {
+  /// A stateless task: queued in core_ while `worker` is 0, else placed.
+  struct Task {
     TaskSpec spec;  // inputs = cached decls only
     std::vector<storage::FileDecl> inline_decls;
     FuturePtr future;
     int attempts = 0;
-    std::uint64_t ring_key = 0;  // hash of the function name, taken once
     double submitted_s = 0;  // telemetry clock at SubmitTask
     double queued_s = 0;     // telemetry clock at (re)enqueue
     /// Causal trace of this task; root span emitted at submit, advanced at
     /// each dispatch so downstream worker spans chain off it.
     telemetry::TraceContext trace;
-  };
-
-  struct RunningTask {
-    PendingTask task;
     WorkerId worker = 0;
     std::size_t pending_files = 0;
     double staged_at = 0;  // telemetry clock when staging began
@@ -447,7 +443,10 @@ class Manager {
   void HandleFrame(const net::Frame& frame);
   void HandleCommand(Command command);
   void TrySchedule();
-  bool TryScheduleTask(PendingTask& task);
+  /// Queues (or requeues) a task in core_.
+  void QueueTask(Task& task);
+  /// Stages a placed task's cached inputs, then dispatches it.
+  void StartTask(const ControlCore::Decision& place);
 
   /// Carries out the control core's decisions in order.
   void Carry(const std::vector<ControlCore::Decision>& decisions);
@@ -462,7 +461,7 @@ class Manager {
   /// RouteHooks::narrow: keeps the warm instances whose workers hold the
   /// most ref-argument bytes of the call.
   void NarrowByRefs(InvocationId id,
-                    std::vector<DispatchCandidate>& candidates);
+                    std::vector<LibraryInstanceId>& candidates);
 
   /// Begins staging `decl` onto `worker` (or joins an in-flight transfer).
   /// Returns true if the file still needs to arrive (waiter recorded).
@@ -488,7 +487,7 @@ class Manager {
   void HandleBroadcastWorkerDeath(WorkerId worker);
   void FinishBroadcast(std::map<hash::ContentId, BroadcastState>::iterator it);
   void ProbeBroadcasts();
-  void DispatchTask(RunningTask& running);
+  void DispatchTask(Task& task);
   void DispatchInstall(LibraryInstanceId id);
 
   /// Send failures and Goodbyes enqueue here; ProcessDeadWorkers reaps them
@@ -599,8 +598,8 @@ class Manager {
   std::atomic<std::uint64_t> next_invocation_id_{1};
 
   // ---- manager-thread-only state ----
-  /// L3 control state and decisions: call queues, instances, per-worker
-  /// allocators, the ring and the affinity sets.
+  /// Control state and decisions: task and call queues, instances,
+  /// per-worker allocators, the ring and the affinity sets.
   ControlCore core_;
   ControlCore::RouteHooks route_;
   /// Rolling window of invocation round-trip latencies per worker (newest
@@ -611,8 +610,8 @@ class Manager {
   /// Every call queued in or running on core_, by id.
   std::unordered_map<InvocationId, PendingCall> calls_;
   std::map<LibraryInstanceId, InstanceInfo> instance_info_;
-  std::deque<PendingTask> task_queue_;
-  std::map<TaskId, RunningTask> running_tasks_;
+  /// Every task queued in or placed by core_, by id.
+  std::unordered_map<TaskId, Task> tasks_;
   std::map<TransferKey, Transfer> transfers_;
   std::map<hash::ContentId, BroadcastState> broadcasts_;
   /// Pass-by-reference results the cluster still retains (see RefInfo).

@@ -111,8 +111,8 @@ void Manager::CompleteTransfer(WorkerId worker, const hash::ContentId& id,
           --info_it->second.pending_files == 0)
         DispatchInstall(waiter.id);
     } else {
-      auto task_it = running_tasks_.find(waiter.id);
-      if (task_it == running_tasks_.end()) continue;
+      auto task_it = tasks_.find(waiter.id);
+      if (task_it == tasks_.end()) continue;
       if (task_it->second.pending_files > 0 &&
           --task_it->second.pending_files == 0)
         DispatchTask(task_it->second);

@@ -40,7 +40,7 @@ void Manager::StartStatusQuery(StatusCmd cmd) {
 
   ClusterStatus& status = status_query_.status;
   status.collected_s = Now();
-  status.task_queue_depth = task_queue_.size();
+  status.task_queue_depth = core_.queued_tasks();
   for (const auto& [name, library] : core_.libraries())
     status.library_queues.push_back({name, library.queue.size()});
   status.scheduler.affinity_hits = m_.affinity_hits->Value();
@@ -170,13 +170,11 @@ void Manager::RunQuiescenceCheck(QuiescenceCmd cmd) {
     violate(std::to_string(report.outstanding_futures) +
             " submitted futures still unresolved");
 
-  report.task_queue = task_queue_.size();
-  if (report.task_queue != 0)
-    violate(std::to_string(report.task_queue) + " tasks still queued");
-  report.running_tasks = running_tasks_.size();
+  report.running_tasks = static_cast<std::size_t>(std::count_if(
+      tasks_.begin(), tasks_.end(),
+      [](const auto& entry) { return entry.second.worker != 0; }));
   if (report.running_tasks != 0)
-    violate(std::to_string(report.running_tasks) +
-            " entries leaked in running_tasks_");
+    violate(std::to_string(report.running_tasks) + " tasks still placed");
   report.transfers = transfers_.size();
   if (report.transfers != 0)
     violate(std::to_string(report.transfers) +
@@ -189,6 +187,7 @@ void Manager::RunQuiescenceCheck(QuiescenceCmd cmd) {
   // calls in flight, linked to their workers), affinity sets, the warm count
   // and per-worker claims.
   const ControlCore::AuditReport audit = core_.Audit();
+  report.task_queue = audit.queued_tasks;
   report.queued_calls = audit.queued_calls;
   report.instances = audit.instances;
   report.running_invocations = audit.running_invocations;
@@ -241,7 +240,8 @@ void Manager::RunQuiescenceCheck(QuiescenceCmd cmd) {
   // Task claims in the core must be mirrored by the manager's task table.
   for (const auto& [worker_id, worker] : core_.workers())
     for (const auto& [task_id, _] : worker.tasks)
-      if (!running_tasks_.contains(task_id))
+      if (auto it = tasks_.find(task_id);
+          it == tasks_.end() || it->second.worker != worker_id)
         violate("worker " + std::to_string(worker_id) +
                 " lists unknown running task " + std::to_string(task_id));
 

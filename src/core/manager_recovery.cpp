@@ -27,12 +27,12 @@ void Manager::FailWaiter(const Waiter& waiter, const Status& status) {
     (void)core_.Remove(waiter.id);
     instance_info_.erase(waiter.id);
   } else {
-    auto task_it = running_tasks_.find(waiter.id);
-    if (task_it == running_tasks_.end()) return;
+    auto task_it = tasks_.find(waiter.id);
+    if (task_it == tasks_.end() || task_it->second.worker == 0) return;
     core_.ReleaseTask(task_it->second.worker, waiter.id);
-    task_it->second.task.future->Resolve(status);
+    task_it->second.future->Resolve(status);
     FinishOne();
-    running_tasks_.erase(task_it);
+    tasks_.erase(task_it);
   }
 }
 
@@ -158,17 +158,16 @@ void Manager::OnWorkerDead(WorkerId worker) {
   HandleBroadcastWorkerDeath(worker);
 
   for (TaskId id : loss.tasks) {
-    auto task_it = running_tasks_.find(id);
-    if (task_it == running_tasks_.end()) continue;
-    PendingTask task = std::move(task_it->second.task);
-    running_tasks_.erase(task_it);
+    auto task_it = tasks_.find(id);
+    if (task_it == tasks_.end()) continue;
+    Task& task = task_it->second;
     if (++task.attempts < config_.max_attempts) {
       m_.retries->Add();
-      task.queued_s = Now();
-      task_queue_.push_back(std::move(task));
+      QueueTask(task);
     } else {
       task.future->Resolve(UnavailableError("worker died repeatedly"));
       FinishOne();
+      tasks_.erase(task_it);
     }
   }
 

@@ -1,6 +1,5 @@
-// Scheduling: admission of pending tasks, and carrying out the control
-// core's library decisions — batched invocation dispatch, instance deploys
-// and evictions.
+// Scheduling: carrying out the control core's decisions — task placements,
+// batched invocation dispatch, instance deploys and evictions.
 #include "core/manager.hpp"
 
 #include <algorithm>
@@ -17,66 +16,46 @@ using namespace std::chrono_literals;
 // ---------------------------------------------------------------------------
 
 void Manager::TrySchedule() {
-  // Stateless tasks: first-fit in FIFO order with a single stable compaction
-  // pass — scheduled tasks are dropped by moving the survivors forward once,
-  // instead of an O(queue) mid-deque erase per placement (quadratic when a
-  // large backlog drains).  The whole sweep early-outs when there is nothing
-  // to place or nowhere to place it, and the compaction itself only runs
-  // when at least one task actually left the queue — the common idle pass
-  // (every worker busy) costs the placement probes and nothing else.
-  if (!task_queue_.empty() && !core_.workers().empty()) {
-    std::size_t keep = 0;
-    bool placed = false;
-    for (std::size_t i = 0; i < task_queue_.size(); ++i) {
-      if (TryScheduleTask(task_queue_[i])) {
-        placed = true;
-      } else {
-        if (keep != i) task_queue_[keep] = std::move(task_queue_[i]);
-        ++keep;
-      }
-    }
-    if (placed)
-      task_queue_.erase(
-          task_queue_.begin() + static_cast<std::ptrdiff_t>(keep),
-          task_queue_.end());
-  }
-  // Function calls: one control-core pass over the library queues.
+  // One control-core pass: queued tasks first, then the library queues.
   Carry(core_.Pump(route_));
   // The warm-instance gauge is a copy of the core's count, published after
   // every pass (and by the quiescence audit, which may run between passes).
   m_.affinity_warm_instances->Set(static_cast<double>(core_.warm_instances()));
 }
 
-bool Manager::TryScheduleTask(PendingTask& task) {
-  // Walk the ring from the function's hash so repeated submissions of the
-  // same function land where its cached context already is.
-  const auto worker_id =
-      core_.PlaceTask(task.spec.id, task.ring_key, task.spec.resources);
-  if (!worker_id) return false;
+void Manager::QueueTask(Task& task) {
+  task.worker = 0;
+  task.pending_files = 0;
+  task.queued_s = Now();
+  // The ring walk starts at the function's hash, so repeated submissions
+  // of the same function land where its cached context already is.
+  core_.SubmitTask(task.spec.id,
+                   hash::ContentId::OfText(task.spec.function_name).Prefix64(),
+                   task.spec.resources);
+}
 
-  RunningTask running;
-  running.task = std::move(task);
-  running.worker = *worker_id;
-  running.staged_at = Now();
-  const TaskId id = running.task.spec.id;
-  running.task.trace = telemetry_->tracer.EmitLinked(
-      running.task.trace, telemetry::Phase::kDispatch, "task", "manager", id,
-      running.task.queued_s, running.staged_at);
-
-  for (const auto& decl : running.task.spec.inputs) {
-    if (replicas_.HasReplica(decl.id, *worker_id)) continue;
-    if (StageFile(decl, *worker_id, Waiter{false, id}, running.task.trace))
-      ++running.pending_files;
+void Manager::StartTask(const ControlCore::Decision& place) {
+  Task& task = tasks_.at(place.task);
+  task.worker = place.worker;
+  task.staged_at = Now();
+  task.trace = telemetry_->tracer.EmitLinked(
+      task.trace, telemetry::Phase::kDispatch, "task", "manager", place.task,
+      task.queued_s, task.staged_at);
+  for (const auto& decl : task.spec.inputs) {
+    if (replicas_.HasReplica(decl.id, task.worker)) continue;
+    if (StageFile(decl, task.worker, Waiter{false, place.task}, task.trace))
+      ++task.pending_files;
   }
-  auto [placed_it, _] = running_tasks_.emplace(id, std::move(running));
-  if (placed_it->second.pending_files == 0) DispatchTask(placed_it->second);
-  return true;
+  if (task.pending_files == 0) DispatchTask(task);
 }
 
 void Manager::Carry(const std::vector<ControlCore::Decision>& decisions) {
   using Kind = ControlCore::Decision::Kind;
   for (const ControlCore::Decision& decision : decisions) {
     switch (decision.kind) {
+      case Kind::kTask:
+        StartTask(decision);
+        break;
       case Kind::kDispatch:
         SendCalls(decision);
         break;
@@ -183,7 +162,7 @@ bool Manager::FailUnrunnable(InvocationId id) {
 }
 
 void Manager::NarrowByRefs(InvocationId id,
-                           std::vector<DispatchCandidate>& candidates) {
+                           std::vector<LibraryInstanceId>& candidates) {
   // Ref-aware placement: among warm instances, keep only the ones whose
   // worker already holds the most ref-argument bytes of the next call —
   // co-locating consumer with replica makes the peer fetch disappear.
@@ -193,8 +172,7 @@ void Manager::NarrowByRefs(InvocationId id,
   std::vector<std::uint64_t> score(candidates.size(), 0);
   std::uint64_t best = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const WorkerId worker =
-        core_.FindInstance(candidates[i].instance_id)->worker;
+    const WorkerId worker = core_.FindInstance(candidates[i])->worker;
     for (const RefArg& arg : front.ref_args)
       if (replicas_.HasReplica(arg.ref.id, worker)) score[i] += arg.ref.size;
     best = std::max(best, score[i]);
@@ -206,33 +184,33 @@ void Manager::NarrowByRefs(InvocationId id,
   candidates.resize(keep);
 }
 
-void Manager::DispatchTask(RunningTask& running) {
+void Manager::DispatchTask(Task& task) {
   const double now = Now();
-  running.transfer_wait_s = now - running.staged_at;
-  running.task.trace = telemetry_->tracer.EmitLinked(
-      running.task.trace, telemetry::Phase::kTransfer, "task",
-      "worker-" + std::to_string(running.worker), running.task.spec.id,
-      running.staged_at, now);
+  task.transfer_wait_s = now - task.staged_at;
+  task.trace = telemetry_->tracer.EmitLinked(
+      task.trace, telemetry::Phase::kTransfer, "task",
+      "worker-" + std::to_string(task.worker), task.spec.id, task.staged_at,
+      now);
   ExecuteTaskMsg msg;
-  msg.task = running.task.spec;  // copy: a retry reuses the original
-  msg.trace = running.task.trace;
-  for (const auto& decl : running.task.inline_decls) {
+  msg.task = task.spec;  // copy: a retry reuses the original
+  msg.trace = task.trace;
+  for (const auto& decl : task.inline_decls) {
     auto payload = manager_store_.Get(decl.id);
     if (!payload.ok()) {
       // Fully unwind the placement before resolving: leaving the task in
-      // running_tasks_ and the worker's running set would let a later
-      // worker death requeue this already-failed task and double-resolve
-      // its future (stealing another waiter's FinishOne).
-      const TaskId id = running.task.spec.id;
-      core_.ReleaseTask(running.worker, id);
-      running.task.future->Resolve(payload.status());
+      // tasks_ and its claim in the core would let a later worker death
+      // requeue this already-failed task and double-resolve its future
+      // (stealing another waiter's FinishOne).
+      const TaskId id = task.spec.id;
+      core_.ReleaseTask(task.worker, id);
+      task.future->Resolve(payload.status());
       FinishOne();
-      running_tasks_.erase(id);  // `running` is dangling past this point
+      tasks_.erase(id);  // `task` is dangling past this point
       return;
     }
     msg.task.inline_files.emplace_back(decl, std::move(*payload));
   }
-  (void)SendTo(running.worker, msg);
+  (void)SendTo(task.worker, msg);
 }
 
 void Manager::DispatchInstall(LibraryInstanceId id) {

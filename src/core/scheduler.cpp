@@ -87,18 +87,4 @@ AutoscaleAction DecideAutoscale(const SchedulerConfig& config,
   return AutoscaleAction::kHold;
 }
 
-std::size_t PickLeastLoaded(const DispatchCandidate* candidates,
-                            std::size_t count) {
-  std::size_t best = kNoCandidate;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (candidates[i].free_slots == 0) continue;
-    if (best == kNoCandidate ||
-        candidates[i].free_slots > candidates[best].free_slots ||
-        (candidates[i].free_slots == candidates[best].free_slots &&
-         candidates[i].instance_id < candidates[best].instance_id))
-      best = i;
-  }
-  return best;
-}
-
 }  // namespace vinelet::core

@@ -9,9 +9,6 @@
 //  * AffinityIndex — per-library affinity sets: which workers currently
 //    retain a ready instance of each library.  ControlCore keeps it in
 //    step with its instance table; its Audit() checks it.
-//  * PickLeastLoaded — route an invocation to the least-loaded affine
-//    instance (most free slots, ties broken by lowest instance id so the
-//    choice is deterministic).
 //  * DecideAutoscale — the closed loop: deploy another instance when queued
 //    demand exceeds warm capacity by the steal threshold, flag idle
 //    libraries with a poor Fig-11 share value as preferred eviction
@@ -109,19 +106,5 @@ enum class AutoscaleAction : std::uint8_t { kHold = 0, kDeploy, kEvict };
 /// Pure decision function — no side effects, no clock, no randomness.
 AutoscaleAction DecideAutoscale(const SchedulerConfig& config,
                                 const AutoscaleSignal& signal);
-
-/// Candidate instance for least-loaded routing.
-struct DispatchCandidate {
-  std::uint64_t instance_id = 0;
-  std::uint32_t free_slots = 0;
-};
-
-/// Least-loaded pick: most free slots wins; ties break toward the lowest
-/// instance id, so the choice is deterministic.  Returns
-/// the index into `candidates`, or npos when empty / no free slots.
-std::size_t PickLeastLoaded(const DispatchCandidate* candidates,
-                            std::size_t count);
-
-inline constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
 
 }  // namespace vinelet::core

@@ -21,7 +21,10 @@ void HashRing::Add(std::uint64_t member_id) {
   for (unsigned r = 0; r < vnodes_; ++r) {
     // First writer wins on (vanishingly unlikely) point collisions; Remove
     // only erases points it owns.
-    ring_.emplace(Mix(member_id, r), member_id);
+    const std::uint64_t point = Mix(member_id, r);
+    auto at = std::lower_bound(ring_.begin(), ring_.end(), Point{point, 0});
+    if (at == ring_.end() || at->first != point)
+      ring_.insert(at, Point{point, member_id});
   }
 }
 
@@ -29,8 +32,9 @@ void HashRing::Remove(std::uint64_t member_id) {
   auto it = members_.find(member_id);
   if (it == members_.end()) return;
   for (unsigned r = 0; r < it->second; ++r) {
-    auto point = ring_.find(Mix(member_id, r));
-    if (point != ring_.end() && point->second == member_id) ring_.erase(point);
+    const Point point{Mix(member_id, r), member_id};
+    auto at = std::lower_bound(ring_.begin(), ring_.end(), point);
+    if (at != ring_.end() && *at == point) ring_.erase(at);  // owned
   }
   members_.erase(it);
 }
@@ -40,10 +44,7 @@ bool HashRing::Contains(std::uint64_t member_id) const {
 }
 
 std::optional<std::uint64_t> HashRing::Owner(std::uint64_t key) const {
-  if (ring_.empty()) return std::nullopt;
-  auto it = ring_.lower_bound(Mix(key, kWalkSeed));
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
+  return FindFrom(key, [](std::uint64_t) { return true; });
 }
 
 std::optional<std::uint64_t> HashRing::Owner(const std::string& key) const {

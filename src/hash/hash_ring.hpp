@@ -7,6 +7,7 @@
 // reshuffling when workers join or leave mid-run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -43,12 +44,12 @@ class HashRing {
   /// failed once is asked again at its later points (`fits` must be pure).
   template <typename Fits>
   std::optional<std::uint64_t> FindFrom(std::uint64_t key, Fits&& fits) const {
-    if (ring_.empty()) return std::nullopt;
-    auto it = ring_.lower_bound(Mix(key, kWalkSeed));
-    for (std::size_t seen = 0; seen < ring_.size(); ++seen, ++it) {
-      if (it == ring_.end()) it = ring_.begin();
+    const auto start = std::lower_bound(ring_.begin(), ring_.end(),
+                                        Point{Mix(key, kWalkSeed), 0});
+    for (auto it = start; it != ring_.end(); ++it)
       if (fits(it->second)) return it->second;
-    }
+    for (auto it = ring_.begin(); it != start; ++it)
+      if (fits(it->second)) return it->second;
     return std::nullopt;
   }
 
@@ -60,7 +61,8 @@ class HashRing {
   static constexpr unsigned kWalkSeed = 0x5EEDu;  // key -> ring point
 
   unsigned vnodes_;
-  std::map<std::uint64_t, std::uint64_t> ring_;  // point -> member
+  using Point = std::pair<std::uint64_t, std::uint64_t>;  // (point, member)
+  std::vector<Point> ring_;  // sorted by point, so a walk reads it in order
   std::map<std::uint64_t, unsigned> members_;    // member -> vnode count
 };
 

@@ -42,30 +42,29 @@ VineSim::VineSim(SimConfig config, std::vector<InvocationSpec> invocations)
       invocations_.empty() ? 2 : invocations_.front().costs->cores_per_invocation;
   const std::uint32_t slots =
       std::max(1u, config_.cluster.cores_per_worker / cores_per_invocation);
+  // Every worker offers its slots to the control core: one per L1/L2 task,
+  // or `k` per L3 library instance.
   for (const auto& node : nodes) {
     SimWorker worker;
     worker.node = node;
     worker.slots = slots;
-    worker.free_slots = slots;
     worker.disk = std::make_unique<FairShareResource>(
         &sim_, config_.cluster.local_disk_Bps);
+    core_.AddWorker(ControlId(workers_.size()), core::Resources{slots, 0, 0});
     workers_.push_back(std::move(worker));
   }
-  if (config_.level != core::ReuseLevel::kL3) return;
-  // L3: every worker offers its slots to library instances of `k` slots.
-  const std::uint32_t k = std::max(1u, config_.library_slots);
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    core_.AddWorker(ControlId(w), core::Resources{workers_[w].slots, 0, 0});
   std::size_t libraries = 0;
   for (const InvocationSpec& spec : invocations_)
     libraries = std::max(libraries, spec.library + 1);
+  const std::uint32_t k = std::max(1u, config_.library_slots);
   for (std::size_t lib = 0; lib < libraries; ++lib) {
     char name[32];
     std::snprintf(name, sizeof(name), "lib%06zu", lib);
     library_names_.emplace_back(name);
     core_.AddLibrary(library_names_.back(), core::Resources{k, 0, 0}, k);
   }
-  instance_of_.assign(invocations_.size(), 0);
+  if (config_.level == core::ReuseLevel::kL3)
+    instance_of_.assign(invocations_.size(), 0);
 }
 
 int VineSim::LevelNumber(core::ReuseLevel level) {
@@ -184,13 +183,16 @@ SimResult VineSim::Run() {
 }
 
 void VineSim::Enqueue(std::size_t invocation) {
+  const std::string& library = library_names_[invocations_[invocation].library];
   if (config_.level != core::ReuseLevel::kL3) {
-    pending_.push_back(invocation);
+    // One slot per task, placed from its function's key as the Manager
+    // places a task (the library stands for the function it serves).
+    core_.SubmitTask(invocation, core_.libraries().at(library).ring_key,
+                     core::Resources{1, 0, 0});
     return;
   }
   // Affinity hit-rate, counted as the Manager counts it: did the call
   // arrive while some worker retained its library's context?
-  const std::string& library = library_names_[invocations_[invocation].library];
   if (core_.Submit(library, invocation))
     ++result_.affinity_hits;
   else
@@ -198,42 +200,27 @@ void VineSim::Enqueue(std::size_t invocation) {
 }
 
 void VineSim::PumpDispatch() {
-  if (config_.level == core::ReuseLevel::kL3) {
-    PumpLibraries();
-    return;
-  }
-  while (!pending_.empty()) {
-    // Round-robin over workers with a free slot (the manager's ring walk).
-    std::size_t chosen = workers_.size();
-    for (std::size_t step = 0; step < workers_.size(); ++step) {
-      const std::size_t w = (rr_cursor_ + step) % workers_.size();
-      if (workers_[w].alive && workers_[w].free_slots > 0) {
-        chosen = w;
-        rr_cursor_ = (w + 1) % workers_.size();
-        break;
-      }
-    }
-    if (chosen == workers_.size()) return;  // no capacity; resume on completion
+  for (auto decisions = core_.Pump(); !decisions.empty();
+       decisions = core_.Pump())
+    Carry(decisions);
+}
 
-    const std::size_t invocation = pending_.front();
-    pending_.pop_front();
-    SimWorker& worker = workers_[chosen];
-    --worker.free_slots;
-    const std::uint64_t generation = worker.generation;
-
-    if (config_.track_trace) dispatch_times_[invocation] = sim_.Now();
-    const double popped_s = sim_.Now();
-    TraceSubmit(invocation, popped_s);
-    const WorkloadCosts& costs = *invocations_[invocation].costs;
-    const double dispatch_s = costs.ManagerFor(config_.level).dispatch_s;
-    manager_->Enqueue(dispatch_s,
-                      [this, chosen, generation, invocation, popped_s] {
-      trace_ctx_[invocation] =
-          TraceSpan(trace_ctx_[invocation], telemetry::Phase::kDispatch,
-                    "invocation", "manager", invocation, popped_s, sim_.Now());
-      StartOnWorker(chosen, generation, invocation);
-    });
-  }
+void VineSim::DispatchTask(const core::ControlCore::Decision& place) {
+  const std::size_t worker_index = place.worker - 1;
+  const std::size_t invocation = place.task;
+  const std::uint64_t generation = workers_[worker_index].generation;
+  if (config_.track_trace) dispatch_times_[invocation] = sim_.Now();
+  const double popped_s = sim_.Now();
+  TraceSubmit(invocation, popped_s);
+  const WorkloadCosts& costs = *invocations_[invocation].costs;
+  const double dispatch_s = costs.ManagerFor(config_.level).dispatch_s;
+  manager_->Enqueue(dispatch_s,
+                    [this, worker_index, generation, invocation, popped_s] {
+    trace_ctx_[invocation] =
+        TraceSpan(trace_ctx_[invocation], telemetry::Phase::kDispatch,
+                  "invocation", "manager", invocation, popped_s, sim_.Now());
+    StartOnWorker(worker_index, generation, invocation);
+  });
 }
 
 bool VineSim::WorkerValid(std::size_t worker_index,
@@ -440,23 +427,19 @@ void VineSim::RunL2(SimWorker& worker, std::size_t invocation,
 }
 
 // ---------------------------------------------------------------------------
-// L3 library scheduling: core::ControlCore decides — the control core the
-// live Manager drives — and the DES carries the decisions out in virtual
-// time.  An eviction's removal is reported at once (the fluid model has no
-// LibraryRemoved round trip), and the next pass offers the room to the
-// library that evicted for it first.
+// Carrying out core::ControlCore's decisions — the control core the live
+// Manager drives — in virtual time.  An eviction's removal is reported at
+// once (the fluid model has no LibraryRemoved round trip), and the next pass
+// offers the room to the library that evicted for it first.
 // ---------------------------------------------------------------------------
-
-void VineSim::PumpLibraries() {
-  for (auto decisions = core_.Pump(); !decisions.empty();
-       decisions = core_.Pump())
-    Carry(decisions);
-}
 
 void VineSim::Carry(const std::vector<core::ControlCore::Decision>& decisions) {
   using Kind = core::ControlCore::Decision::Kind;
   for (const core::ControlCore::Decision& decision : decisions) {
     switch (decision.kind) {
+      case Kind::kTask:
+        DispatchTask(decision);
+        break;
       case Kind::kDispatch:
         DispatchBatch(decision);
         break;
@@ -588,7 +571,6 @@ void VineSim::StartDeploy(const core::ControlCore::Decision& deploy) {
       ++active_libraries_;
       result_.libraries_peak_active =
           std::max(result_.libraries_peak_active, active_libraries_);
-      Carry(core_.Refill(id));
       PumpDispatch();
     });
   });
@@ -802,13 +784,11 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
   }
   SimWorker& worker = workers_[worker_index];
   const bool l3 = config_.level == core::ReuseLevel::kL3;
-  // L3 tracks capacity through per-library instance slots instead of the
-  // round-robin worker slot pool: the call's reply frees its slot.
-  const core::LibraryInstanceId instance = l3 ? instance_of_[invocation] : 0;
+  // The reply frees the call's instance slot, or the task's claim.
   if (l3)
-    core_.Finish(instance, invocation);
+    core_.Finish(instance_of_[invocation], invocation);
   else
-    ++worker.free_slots;
+    core_.ReleaseTask(ControlId(worker_index), invocation);
   if (worker.active > 0) --worker.active;
   const net::WorkerFaults& wf = config_.fault.worker;
   if (wf.invocation_failure_p > 0.0 || wf.task_failure_p > 0.0) {
@@ -817,10 +797,8 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
     const bool failed = l3 ? fault_.InjectInvocationFailure(worker_index + 1)
                            : fault_.InjectTaskFailure(worker_index + 1);
     if (failed && l3) {
-      // As the Manager retries a failed reply: front of the queue, then
-      // refill the instance whose slot freed.
+      // As the Manager retries a failed reply: front of the queue.
       RequeueFront(invocation);
-      Carry(core_.Refill(instance));
       PumpDispatch();
       return;
     }
@@ -870,10 +848,7 @@ void VineSim::FinishOnWorker(std::size_t worker_index, std::uint64_t generation,
     }
     PumpDispatch();
   });
-  // The freed slot can take new work immediately: at L3 its own instance
-  // refills first, as the Manager's does on each reply.
-  if (l3) Carry(core_.Refill(instance));
-  PumpDispatch();
+  PumpDispatch();  // the freed slot can take new work immediately
 }
 
 void VineSim::Requeue(std::size_t invocation) {
@@ -903,8 +878,9 @@ void VineSim::KillWorkerNow(std::size_t worker_index) {
   if (!worker.alive) return;
   worker.alive = false;
   ++result_.worker_deaths;
-  // The control core's death sweep, as the Manager's: instances and their
-  // affinity go, and their in-flight calls return to the queue fronts.
+  // The control core's death sweep, as the Manager's: task claims,
+  // instances and their affinity go, and the instances' in-flight calls
+  // return to the queue fronts.
   const core::ControlCore::WorkerLoss loss =
       core_.RemoveWorker(ControlId(worker_index));
   for (const core::ControlCore::Instance& instance : loss.instances) {
@@ -927,10 +903,8 @@ void VineSim::KillWorkerNow(std::size_t worker_index) {
     SimWorker& w = workers_[worker_index];
     w.alive = true;
     ++w.generation;
-    w.free_slots = w.slots;
     w.active = 0;
-    if (config_.level == core::ReuseLevel::kL3)
-      core_.AddWorker(ControlId(worker_index), core::Resources{w.slots, 0, 0});
+    core_.AddWorker(ControlId(worker_index), core::Resources{w.slots, 0, 0});
     // Churn chains re-arm on respawn; one-shot scheduled kills do not.
     if (config_.worker_mean_lifetime_s > 0.0) ScheduleDeath(worker_index);
     PumpDispatch();

@@ -107,9 +107,9 @@ struct SimConfig {
   /// model carries no individual messages.
   net::FaultPlan fault;
 
-  /// L3 scheduling knobs.  Every L3 invocation is queued, routed, and its
-  /// library deployed and evicted by core::ControlCore, the same control
-  /// core the live Manager drives.  L1/L2 tasks ignore it.
+  /// L3 scheduling knobs.  Every invocation is queued and placed by
+  /// core::ControlCore, the same control core the live Manager drives; at
+  /// L3 it also deploys and evicts the libraries.  L1/L2 tasks ignore it.
   core::SchedulerConfig scheduler;
 
   /// Optional telemetry sink.  When its tracer is enabled the simulator
@@ -191,14 +191,14 @@ class VineSim {
   /// Runs to completion and returns the collected metrics.
   SimResult Run();
 
-  /// The L3 control core (call queues, instances, placement), for audits.
+  /// The control core (task and call queues, instances, placement), for
+  /// audits.
   const core::ControlCore& control() const { return core_; }
 
  private:
   struct SimWorker {
     SimWorkerNode node;
     std::uint32_t slots = 16;
-    std::uint32_t free_slots = 16;
     std::uint32_t active = 0;  // invocations currently being processed
     enum class Env { kAbsent, kTransferring, kReady } env = Env::kAbsent;
     std::vector<std::function<void()>> env_waiters;
@@ -215,16 +215,18 @@ class VineSim {
     std::uint64_t generation = 0;  // incremented on respawn
   };
 
-  /// Submits `invocation`: to the round-robin task queue at L1/L2, to its
-  /// library's queue in the control core at L3.
+  /// Submits `invocation` to the control core: to the task queue at L1/L2,
+  /// to its library's queue at L3.
   void Enqueue(std::size_t invocation);
+  /// Carries out control-core passes until one decides nothing.
   void PumpDispatch();
   void StartOnWorker(std::size_t worker_index, std::uint64_t generation,
                      std::size_t invocation);
 
-  // --- L3: carrying out core::ControlCore's decisions ---
-  void PumpLibraries();
+  // --- carrying out core::ControlCore's decisions ---
   void Carry(const std::vector<core::ControlCore::Decision>& decisions);
+  /// One manager service, then the task starts on the worker it claimed.
+  void DispatchTask(const core::ControlCore::Decision& place);
   /// One manager service for the whole batch, then each call starts on the
   /// instance's worker.
   void DispatchBatch(const core::ControlCore::Decision& dispatch);
@@ -320,16 +322,14 @@ class VineSim {
   std::unique_ptr<SerialServer> manager_;
 
   std::vector<SimWorker> workers_;
-  std::deque<std::size_t> pending_;  // L1/L2 tasks awaiting dispatch
-  /// L3: library queues, instances, per-worker slots (1-based worker ids,
-  /// matching runtime endpoints) and the placement decisions.
+  /// Task and library queues, instances, per-worker slots (1-based worker
+  /// ids, matching runtime endpoints) and the placement decisions.
   core::ControlCore core_;
   /// Control-core name of each library index (zero-padded, so name order
   /// is index order).
   std::vector<std::string> library_names_;
   /// L3: the instance each dispatched invocation runs on.
   std::vector<core::LibraryInstanceId> instance_of_;
-  std::size_t rr_cursor_ = 0;
   bool done_ = false;  // all invocations completed: stop churn chains
 
   // Environment spanning-tree state.

@@ -482,8 +482,9 @@ class ChaosTest : public ::testing::Test {
 TEST_F(ChaosTest, DispatchFailureUnwindsTask) {
   // An inline (cache=false) input whose payload was never stored makes
   // DispatchTask fail after the task was placed.  Pre-fix the task stayed
-  // in running_tasks_ and the worker's set, so the later worker-death sweep
-  // re-resolved the already-failed future and corrupted the claim ledger.
+  // in the manager's task table and the worker's set, so the later
+  // worker-death sweep re-resolved the already-failed future and corrupted
+  // the claim ledger.
   StartCluster(1);
   auto future = manager_->SubmitTask(
       "read_file", Value::Dict({{"name", Value("ghost")}}),

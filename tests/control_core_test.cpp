@@ -1,4 +1,4 @@
-// core::ControlCore: the L3 control state and decisions both backends run.
+// core::ControlCore: the control state and decisions both backends run.
 // No clock and no transport — each test feeds the core events by hand and
 // checks the decisions it returns and the state it keeps.
 #include "core/control_core.hpp"
@@ -31,28 +31,40 @@ std::vector<Decision> OfKind(const std::vector<Decision>& decisions,
 }
 
 /// Queues `calls` calls (ids from `*next`), lets the core deploy for them,
-/// brings every deployed instance to ready, and finishes whatever the
-/// instances took: the library ends warm and idle.
+/// brings each deployed instance to ready in turn — a pass fills it while
+/// the earlier ones are still busy — and then finishes every call: the
+/// library ends warm and idle.
 void WarmUp(ControlCore& core, const std::string& library, std::size_t calls,
             CallId* next) {
   for (std::size_t i = 0; i < calls; ++i) core.Submit(library, (*next)++);
+  std::vector<Decision> dispatches;
   for (const Decision& deploy : OfKind(core.Pump(), Kind::kDeploy)) {
     ASSERT_TRUE(core.Installing(deploy.instance));
     ASSERT_TRUE(core.Ready(deploy.instance));
-    for (const Decision& dispatch : core.Refill(deploy.instance))
-      for (CallId call : dispatch.calls)
-        ASSERT_TRUE(core.Finish(dispatch.instance, call));
+    for (const Decision& dispatch : core.Pump()) {
+      ASSERT_EQ(dispatch.kind, Kind::kDispatch);
+      ASSERT_EQ(dispatch.instance, deploy.instance);
+      dispatches.push_back(dispatch);
+    }
   }
+  for (const Decision& dispatch : dispatches)
+    for (CallId call : dispatch.calls)
+      ASSERT_TRUE(core.Finish(dispatch.instance, call));
 }
 
 /// Runs `n` more calls of `library` on `instance`, one at a time.
 void ServeOn(ControlCore& core, const std::string& library,
              LibraryInstanceId instance, std::size_t n, CallId* next) {
+  ControlCore::RouteHooks only;
+  only.narrow = [instance](CallId, std::vector<LibraryInstanceId>& ids) {
+    std::erase_if(ids, [&](LibraryInstanceId id) { return id != instance; });
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const CallId call = (*next)++;
     core.Submit(library, call);
-    const auto decisions = core.Refill(instance);
+    const auto decisions = core.Pump(only);
     ASSERT_EQ(decisions.size(), 1u);
+    ASSERT_EQ(decisions[0].instance, instance);
     ASSERT_TRUE(core.Finish(instance, call));
   }
 }
@@ -92,13 +104,117 @@ TEST(ControlCoreTest, RoutesToLeastLoadedTiesToLowestIdOneInstancePerBatch) {
   ASSERT_EQ(routed.size(), 1u);
   EXPECT_EQ(routed[0].instance, ids[1]);
 
-  // A freed slot refills its own instance first, whatever the others hold.
+  // A freed slot takes the next call once it leaves its instance the least
+  // loaded: ids[0] now has 2 free, ids[1] 1.
   core.Submit("lib", 107);
   ASSERT_TRUE(core.Finish(ids[0], 101));
-  const auto refill = core.Refill(ids[0]);
+  const auto refill = core.Pump();
   ASSERT_EQ(refill.size(), 1u);
   EXPECT_EQ(refill[0].instance, ids[0]);
   EXPECT_EQ(refill[0].calls, (std::vector<CallId>{107}));
+}
+
+/// Three warm single-worker instances of "lib" (3 slots each) holding
+/// `loads[i]` calls each, placed through a narrowing hook.
+std::vector<LibraryInstanceId> LoadedInstances(
+    ControlCore& core, const std::vector<std::uint32_t>& loads) {
+  core.AddWorker(1, Cores(3));
+  core.AddLibrary("lib", Cores(1), 3);
+  CallId next = 1;
+  WarmUp(core, "lib", 9, &next);
+  const auto ids = InstancesOf(core, "lib");
+  EXPECT_EQ(ids.size(), 3u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ControlCore::RouteHooks only;
+    only.narrow = [&](CallId, std::vector<LibraryInstanceId>& candidates) {
+      candidates = {ids[i]};
+    };
+    if (loads[i] == 0) continue;
+    for (std::uint32_t n = 0; n < loads[i]; ++n) core.Submit("lib", next++);
+    EXPECT_EQ(core.Pump(only).size(), 1u);
+  }
+  return ids;
+}
+
+TEST(ControlCoreTest, LeastLoadedMostFreeSlotsWins) {
+  ControlCore core;
+  const auto ids = LoadedInstances(core, {2, 0, 1});  // free 1, 3, 2
+  core.Submit("lib", 100);
+  const auto decisions = core.Pump();
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].instance, ids[1]);
+}
+
+TEST(ControlCoreTest, LeastLoadedTiesBreakTowardLowestInstanceId) {
+  // A narrowing hook sees the ready instances least loaded first, ties by
+  // id, full ones last, whatever order they were loaded in.
+  ControlCore core;
+  const auto ids = LoadedInstances(core, {3, 1, 1});  // free 0, 2, 2
+  std::vector<LibraryInstanceId> offered;
+  ControlCore::RouteHooks watch;
+  watch.narrow = [&](CallId, std::vector<LibraryInstanceId>& candidates) {
+    offered = candidates;
+  };
+  core.Submit("lib", 100);
+  const auto decisions = core.Pump(watch);
+  EXPECT_EQ(offered, (std::vector<LibraryInstanceId>{ids[1], ids[2], ids[0]}));
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].instance, ids[1]);
+
+  // Narrowed to the full instance, the next call waits for it.
+  ControlCore::RouteHooks full;
+  full.narrow = [&](CallId, std::vector<LibraryInstanceId>& candidates) {
+    candidates = {ids[0]};
+  };
+  core.Submit("lib", 101);
+  EXPECT_TRUE(core.Pump(full).empty());
+  EXPECT_EQ(core.libraries().at("lib").queue.size(), 1u);
+}
+
+TEST(ControlCoreTest, LeastLoadedNoFreeSlotDispatchesNothing) {
+  ControlCore core;
+  LoadedInstances(core, {3, 3, 3});  // full, and no room for a fourth
+  core.Submit("lib", 100);
+  EXPECT_TRUE(core.Pump().empty());
+  EXPECT_EQ(core.libraries().at("lib").queue.size(), 1u);
+}
+
+TEST(ControlCoreTest, NewlyReadyInstanceFillsBeforeNarrowing) {
+  // The hook prefers the first instance (say, it holds every ref argument)
+  // and it is full, so the backlog waits and the autoscaler deploys.  The
+  // new instance takes the queue front once ready, whatever the hook says.
+  ControlCore core;
+  core.AddWorker(1, Cores(1));
+  core.AddWorker(2, Cores(1));
+  core.AddLibrary("lib", Cores(1), 2);
+  CallId next = 1;
+  WarmUp(core, "lib", 2, &next);
+  const LibraryInstanceId first = InstancesOf(core, "lib").front();
+  ControlCore::RouteHooks prefer_first;
+  prefer_first.narrow = [&](CallId, std::vector<LibraryInstanceId>& ids) {
+    ids = {first};
+  };
+  for (CallId call = 10; call < 15; ++call) core.Submit("lib", call);
+  const auto filled = core.Pump(prefer_first);
+  ASSERT_EQ(OfKind(filled, Kind::kDispatch).size(), 1u);  // first: 2 calls
+  const auto deploys = OfKind(filled, Kind::kDeploy);
+  ASSERT_EQ(deploys.size(), 1u);
+  ASSERT_TRUE(core.Installing(deploys[0].instance));
+  ASSERT_TRUE(core.Ready(deploys[0].instance));
+  const auto decisions = core.Pump(prefer_first);
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].instance, deploys[0].instance);
+  EXPECT_EQ(decisions[0].calls, (std::vector<CallId>{12, 13}));
+
+  // After that, the hook decides again: 14 waits for `first` even though
+  // the new instance has a free slot.
+  ASSERT_TRUE(core.Finish(deploys[0].instance, 12));
+  EXPECT_TRUE(core.Pump(prefer_first).empty());
+  ASSERT_TRUE(core.Finish(first, 10));
+  const auto held = core.Pump(prefer_first);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].instance, first);
+  EXPECT_EQ(held[0].calls, (std::vector<CallId>{14}));
 }
 
 TEST(ControlCoreTest, BatchIsCappedAtMaxBatch) {
@@ -126,11 +242,10 @@ TEST(ControlCoreTest, RouteHooksDropUnrunnableCallsAndNarrowCandidates) {
 
   ControlCore::RouteHooks hooks;
   hooks.unrunnable = [](CallId call) { return call == 50; };
-  hooks.narrow = [&](CallId, std::vector<DispatchCandidate>& candidates) {
+  hooks.narrow = [&](CallId, std::vector<LibraryInstanceId>& candidates) {
     // Keep only the highest id, as a locality preference would.
-    std::erase_if(candidates, [&](const DispatchCandidate& c) {
-      return c.instance_id != ids[1];
-    });
+    std::erase_if(candidates,
+                  [&](LibraryInstanceId id) { return id != ids[1]; });
   };
   core.Submit("lib", 50);  // dropped at the queue front
   core.Submit("lib", 51);
@@ -331,7 +446,7 @@ TEST(ControlCoreTest, WorkerDeathSweepReturnsInFlightCallsInOrder) {
 
   // The survivor takes them once its slot frees; then all is settled.
   ASSERT_TRUE(core.Finish(ids[1], 110));
-  const auto refill = core.Refill(ids[1]);
+  const auto refill = core.Pump();
   ASSERT_EQ(refill.size(), 1u);
   EXPECT_EQ(refill[0].calls, (std::vector<CallId>{90, 70, 50, 30}));
   for (CallId call : refill[0].calls) ASSERT_TRUE(core.Finish(ids[1], call));
@@ -343,21 +458,208 @@ TEST(ControlCoreTest, WorkerDeathSweepReturnsInFlightCallsInOrder) {
 TEST(ControlCoreTest, WorkerDeathDropsTaskClaims) {
   ControlCore core;
   core.AddWorker(7, Cores(4));
-  ASSERT_EQ(core.PlaceTask(1, 42, Cores(3)), std::optional<WorkerId>(7));
-  EXPECT_FALSE(core.PlaceTask(2, 42, Cores(3)).has_value());  // no room
+  core.SubmitTask(1, 42, Cores(3));
+  core.SubmitTask(2, 42, Cores(3));
+  const auto placed = core.Pump();
+  ASSERT_EQ(placed.size(), 1u);  // no room for the second
+  EXPECT_EQ(placed[0].kind, Kind::kTask);
+  EXPECT_EQ(placed[0].task, 1u);
+  EXPECT_EQ(placed[0].worker, 7u);
+  EXPECT_EQ(core.queued_tasks(), 1u);
   const ControlCore::WorkerLoss loss = core.RemoveWorker(7);
   EXPECT_EQ(loss.tasks, (std::vector<TaskId>{1}));
   EXPECT_TRUE(core.workers().empty());
   core.ReleaseTask(7, 1);  // the worker is gone: a no-op
+  EXPECT_TRUE(core.Pump().empty());
   core.AddWorker(7, Cores(4));
-  EXPECT_EQ(core.PlaceTask(2, 42, Cores(3)), std::optional<WorkerId>(7));
+  const auto replaced = core.Pump();
+  ASSERT_EQ(replaced.size(), 1u);
+  EXPECT_EQ(replaced[0].task, 2u);
+  EXPECT_EQ(replaced[0].worker, 7u);
   EXPECT_TRUE(core.Audit().violations.empty());
+}
+
+TEST(ControlCoreTest, TasksPlaceFirstFitInFifoOrderAcrossShapes) {
+  ControlCore core;
+  core.AddWorker(1, Cores(4));
+  core.SubmitTask(1, 0, Cores(3));
+  core.SubmitTask(2, 0, Cores(2));  // waits: 1 core left after task 1
+  core.SubmitTask(3, 0, Cores(1));  // fits behind it
+  core.SubmitTask(4, 0, Cores(3));
+  const auto placed = [&] {
+    std::vector<TaskId> out;
+    for (const Decision& d : core.Pump()) {
+      EXPECT_EQ(d.kind, Kind::kTask);
+      out.push_back(d.task);
+    }
+    return out;
+  };
+  EXPECT_EQ(placed(), (std::vector<TaskId>{1, 3}));
+  EXPECT_EQ(core.Audit().queued_tasks, 2u);
+  core.ReleaseTask(1, 1);
+  EXPECT_EQ(placed(), (std::vector<TaskId>{2}));  // 4 still needs 3 cores
+  core.ReleaseTask(1, 2);
+  core.SubmitTask(2, 0, Cores(2));  // a retry goes behind task 4
+  EXPECT_EQ(placed(), (std::vector<TaskId>{4}));
+  core.ReleaseTask(1, 3);
+  core.ReleaseTask(1, 4);
+  EXPECT_EQ(placed(), (std::vector<TaskId>{2}));
+  core.ReleaseTask(1, 2);
+  EXPECT_TRUE(core.Audit().violations.empty());
+}
+
+TEST(ControlCoreTest, TasksWalkTheRingFromTheirKey) {
+  // Single-slot workers: the tasks of one key fill the walk from that key
+  // in ring order, whatever the worker ids.
+  ControlCore core;
+  for (WorkerId w = 1; w <= 5; ++w) core.AddWorker(w, Cores(1));
+  const std::uint64_t key = 0xF00D;
+  for (TaskId t = 1; t <= 5; ++t) core.SubmitTask(t, key, Cores(1));
+  std::vector<std::uint64_t> workers;
+  for (const Decision& d : core.Pump()) workers.push_back(d.worker);
+  EXPECT_EQ(workers, core.ring().WalkFrom(key));
+}
+
+TEST(ControlCoreTest, FullClusterPassWalksTheRingAtMostOncePerShape) {
+  ControlCore core;
+  const Resources task{1, 1024, 1024};
+  for (WorkerId w = 1; w <= 150; ++w) core.AddWorker(w, {16, 16384, 16384});
+  TaskId next = 1;
+  for (; next <= 150 * 16; ++next) core.SubmitTask(next, next, task);
+  const auto filled = core.Pump();
+  ASSERT_EQ(filled.size(), 150u * 16);
+
+  // Every worker is full: a deep queue of the same shape is ruled out by
+  // the free-room summary without a single ring walk.
+  const TaskId deep = next;
+  for (int i = 0; i < 1000; ++i, ++next) core.SubmitTask(next, next, task);
+  std::uint64_t walks = core.ring_walks();
+  EXPECT_TRUE(core.Pump().empty());
+  EXPECT_EQ(core.ring_walks(), walks);
+
+  // One slot frees: the oldest queued task takes it with one walk, and the
+  // rest of the queue is ruled out again.
+  core.ReleaseTask(filled[37].worker, filled[37].task);
+  const auto placed = core.Pump();
+  ASSERT_EQ(placed.size(), 1u);
+  EXPECT_EQ(placed[0].task, deep);
+  EXPECT_EQ(placed[0].worker, filled[37].worker);
+  EXPECT_EQ(core.ring_walks(), walks + 1);
+
+  // Two workers whose free room is split across dimensions: the summary
+  // admits both queued shapes, neither fits any worker, and the pass stops
+  // trying each shape after its first failed walk.
+  core.AddWorker(1001, Cores(4));
+  core.AddWorker(1002, {0, 4096, 4096});
+  const Resources other{2, 2048, 0};
+  for (int i = 0; i < 500; ++i, ++next) core.SubmitTask(next, next, other);
+  walks = core.ring_walks();
+  EXPECT_TRUE(core.Pump().empty());
+  EXPECT_EQ(core.ring_walks(), walks + 2);
+  EXPECT_EQ(core.queued_tasks(), 999u + 500u);
+}
+
+TEST(ControlCoreTest, FreeRoomSummaryNeverChangesATaskPlacement) {
+  // A seeded stream of task submissions, releases, joins and deaths.  After
+  // each pass the placements must equal a reference first-fit FIFO walk
+  // over every ring point with no summary, and the audit must find the
+  // summary equal to the allocators.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    const std::vector<Resources> shapes = {
+        {1, 512, 0}, {2, 256, 256}, {1, 0, 1024}, Resources::All()};
+    const std::vector<Resources> totals = {{4, 2048, 2048}, {2, 512, 4096},
+                                           {8, 1024, 1024}};
+    ControlCore core;
+    std::map<WorkerId, ResourceAllocator> free;  // the reference's room
+    struct Queued {
+      TaskId task;
+      std::uint64_t key;
+      Resources request;
+    };
+    std::vector<Queued> queue;
+    std::map<TaskId, Queued> submitted;
+    std::map<TaskId, std::pair<WorkerId, Resources>> running;
+    TaskId next = 1;
+    std::size_t placed_total = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const std::size_t op = pick(100);
+      if (op < 30) {
+        const Resources& request = shapes[pick(shapes.size())];
+        const std::uint64_t key = rng();
+        core.SubmitTask(next, key, request);
+        queue.push_back({next, key, request});
+        submitted[next] = queue.back();
+        ++next;
+      } else if (op < 60 && !running.empty()) {
+        auto it = std::next(running.begin(),
+                            static_cast<std::ptrdiff_t>(pick(running.size())));
+        core.ReleaseTask(it->second.first, it->first);
+        ASSERT_TRUE(free.at(it->second.first).Release(it->second.second).ok());
+        running.erase(it);
+      } else if (op < 65) {
+        const WorkerId w = 1 + pick(8);
+        if (free.contains(w)) {
+          const auto loss = core.RemoveWorker(w);
+          free.erase(w);
+          for (TaskId task : loss.tasks) {  // retried, as the Manager does
+            running.erase(task);
+            const Queued& retry = submitted.at(task);
+            core.SubmitTask(task, retry.key, retry.request);
+            queue.push_back(retry);
+          }
+        } else {
+          const Resources& total = totals[pick(totals.size())];
+          core.AddWorker(w, total);
+          free.emplace(w, ResourceAllocator(total));
+        }
+      } else {
+        // The reference pass: FIFO, each task on the first worker with room
+        // on the walk from its key.
+        std::vector<std::pair<TaskId, WorkerId>> expected;
+        std::vector<Queued> left;
+        for (const Queued& q : queue) {
+          WorkerId target = 0;
+          for (std::uint64_t w : core.ring().WalkFrom(q.key)) {
+            if (free.at(w).CanAllocate(q.request)) {
+              target = w;
+              break;
+            }
+          }
+          if (target == 0) {
+            left.push_back(q);
+            continue;
+          }
+          auto claimed = free.at(target).Allocate(q.request);
+          ASSERT_TRUE(claimed.ok());
+          running[q.task] = {target, *claimed};
+          expected.emplace_back(q.task, target);
+        }
+        queue = std::move(left);
+        std::vector<std::pair<TaskId, WorkerId>> actual;
+        for (const Decision& d : core.Pump()) {
+          ASSERT_EQ(d.kind, Kind::kTask);
+          actual.emplace_back(d.task, d.worker);
+        }
+        ASSERT_EQ(actual, expected);
+        placed_total += actual.size();
+        for (const std::string& violation : core.Audit().violations)
+          EXPECT_EQ(violation.find("free-room"), std::string::npos)
+              << violation;
+      }
+    }
+    EXPECT_GT(placed_total, 300u);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // The no-capacity memo never suppresses a decision a fresh pass would make:
 // two cores take the same seeded stream of events, one with the memo and one
-// without, and every pass and refill must return the same decisions.
+// without, and every pass must return the same decisions.
 // ---------------------------------------------------------------------------
 
 /// Drives two cores in lockstep and asserts they decide identically.
@@ -456,7 +758,7 @@ TEST(ControlCoreTest, CapacityMemoNeverSuppressesADecision) {
           c.Installing(id);
           c.Ready(id);
         });
-        absorb(cores.Decide([&](ControlCore& c) { return c.Refill(id); }));
+        absorb(cores.Decide([](ControlCore& c) { return c.Pump(); }));
       } else if (op < 92 && !running.empty()) {
         const auto [id, call] = take(running);
         bool finished = false;
@@ -464,7 +766,7 @@ TEST(ControlCoreTest, CapacityMemoNeverSuppressesADecision) {
           finished = c.Finish(id, call) != nullptr;
         });
         if (!finished) continue;  // its worker died; the call was requeued
-        absorb(cores.Decide([&](ControlCore& c) { return c.Refill(id); }));
+        absorb(cores.Decide([](ControlCore& c) { return c.Pump(); }));
       } else if (op < 99 && !draining.empty()) {
         const LibraryInstanceId id = take(draining);
         cores.Both([&](ControlCore& c) { c.Remove(id); });
@@ -489,7 +791,7 @@ TEST(ControlCoreTest, CapacityMemoNeverSuppressesADecision) {
     for (const std::string& violation : cores.core().Audit().violations) {
       for (const char* broken :
            {"affinity", "oversubscribed", "allocator", "sums", "warm-instance",
-            "not linked", "lists unknown", "slots_in_use="})
+            "not linked", "lists unknown", "slots_in_use=", "free-room"})
         EXPECT_EQ(violation.find(broken), std::string::npos) << violation;
     }
   }

@@ -1,8 +1,8 @@
 // Context-affinity scheduling policy: the pure decision components shared
-// by the live Manager and the DES (AffinityIndex, PickLeastLoaded,
-// DecideAutoscale), plus a runtime-vs-simulator mirror check — the same
-// demand trajectory must produce the same deploy decisions in both
-// backends, because both call the same pure functions.
+// by the live Manager and the DES (AffinityIndex, DecideAutoscale), plus a
+// runtime-vs-simulator mirror check — the same demand trajectory must
+// produce the same deploy decisions in both backends, because both call
+// the same pure functions.
 #include <gtest/gtest.h>
 
 #include "core/scheduler.hpp"
@@ -61,24 +61,6 @@ TEST(AffinityIndexTest, RemoveWorkerSweepsEveryLibrary) {
   EXPECT_EQ(index.Get("b"), nullptr);  // b's only worker died
   EXPECT_TRUE(index.Contains("c", 3));
   EXPECT_EQ(index.table().size(), 2u);
-}
-
-TEST(PickLeastLoadedTest, MostFreeSlotsWins) {
-  const DispatchCandidate candidates[] = {{10, 1}, {11, 3}, {12, 2}};
-  EXPECT_EQ(PickLeastLoaded(candidates, 3), 1u);
-}
-
-TEST(PickLeastLoadedTest, TiesBreakTowardLowestInstanceId) {
-  // Deterministic tie-break keeps runtime and simulator choices identical
-  // regardless of candidate order.
-  const DispatchCandidate candidates[] = {{20, 2}, {7, 2}, {15, 2}};
-  EXPECT_EQ(PickLeastLoaded(candidates, 3), 1u);  // id 7
-}
-
-TEST(PickLeastLoadedTest, NoFreeSlotsIsNoCandidate) {
-  const DispatchCandidate full[] = {{1, 0}, {2, 0}};
-  EXPECT_EQ(PickLeastLoaded(full, 2), kNoCandidate);
-  EXPECT_EQ(PickLeastLoaded(nullptr, 0), kNoCandidate);
 }
 
 TEST(DecideAutoscaleTest, IdleLibraryBelowShareFloorIsEvictionVictim) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "hash/content_id.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
 #include "storage/broadcast.hpp"
@@ -93,6 +94,33 @@ TEST(VineSimTest, L2FetchesEnvironmentOncePerWorker) {
   const SimResult result = sim.Run();
   EXPECT_EQ(result.env_manager_transfers, 8u);  // exactly one per worker
   EXPECT_EQ(result.env_peer_transfers, 0u);
+}
+
+TEST(VineSimTest, TasksLandWhereTheRuntimePlacesThem) {
+  // Fewer L1/L2 tasks than one worker's slots: every one runs on the
+  // worker the Manager's placement picks for the function's key.  The DES
+  // names library i "lib%06zu" and keys its tasks by that name.
+  const WorkloadCosts costs = LnniCosts(16);
+  const std::uint32_t slots =
+      SimConfig{}.cluster.cores_per_worker / costs.cores_per_invocation;
+  for (const auto level : {core::ReuseLevel::kL1, core::ReuseLevel::kL2}) {
+    SimConfig config = SmallConfig(level, 10);
+    config.track_trace = true;
+    const SimResult result =
+        VineSim(config, BuildLnniWorkload(costs, slots - 1)).Run();
+    ASSERT_EQ(result.trace.size(), slots - 1);
+
+    core::ControlCore runtime;
+    for (core::WorkerId w = 1; w <= 10; ++w)
+      runtime.AddWorker(w, core::Resources{slots, 0, 0});
+    runtime.SubmitTask(1, hash::ContentId::OfText("lib000000").Prefix64(),
+                       core::Resources{1, 0, 0});
+    const auto placed = runtime.Pump();
+    ASSERT_EQ(placed.size(), 1u);
+    std::set<std::size_t> workers;
+    for (const InvocationTrace& t : result.trace) workers.insert(t.worker);
+    EXPECT_EQ(workers, (std::set<std::size_t>{placed[0].worker - 1}));
+  }
 }
 
 TEST(VineSimTest, PeerTransfersOffloadManagerLink) {
